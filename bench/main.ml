@@ -1720,184 +1720,6 @@ let p8 () =
       output_string oc (Obs.Export.stats_json merged));
   Printf.printf "wrote BENCH_p8.json (%d gauges)\n" (List.length (Obs.Registry.gauges merged))
 
-let p9 () =
-  (* Sweeping-engine portfolio shootout: the same miter checked by the
-     pure-SAT closer, the BDD-first portfolio and the feature-routed
-     hybrid, in the low-simulation regime (words = 1) where candidate
-     classes are coarse and false candidates abound — exactly the work
-     the pre-SAT probes absorb.  Every engine must return the same
-     verdict; every hybrid certificate must pass the hinted checker
-     (resolution-only certificates are portfolio-invariant).
-     Acceptance: hybrid beats pure SAT by >= 1.5x on every narrow-cone
-     datapath row.  Times are best-of-3; gauges and the hybrid run's
-     engine.* counters go to BENCH_p9.json. *)
-  let restructured ?(seed = 7) ?(intensity = 0.5) g =
-    Circuits.Rewrite.restructure ~intensity (Support.Rng.create seed) g
-  in
-  let row name ~narrow golden revised = (name, narrow, golden, revised) in
-  let workload =
-    [
-      (* The acceptance rows (narrow): comparator reductions, whose
-         AND-reduction nodes look constant under any realistic random
-         pattern budget — the false candidates random simulation
-         cannot kill and pure SAT sweeping must refute one
-         countermodel query at a time.  The probes refute them with no
-         SAT call at all, which is where the portfolio's speedup
-         lives. *)
-      row "eq64-tree-lin" ~narrow:true
-        (fun () -> Circuits.Datapath.equality ~tree:true 64)
-        (fun () -> Circuits.Datapath.equality ~tree:false 64);
-      row "eq96-tree-lin" ~narrow:true
-        (fun () -> Circuits.Datapath.equality ~tree:true 96)
-        (fun () -> Circuits.Datapath.equality ~tree:false 96);
-      row "eq128-tree-lin" ~narrow:true
-        (fun () -> Circuits.Datapath.equality ~tree:true 128)
-        (fun () -> Circuits.Datapath.equality ~tree:false 128);
-      (* Context rows: dense-candidate datapaths where random
-         simulation already separates everything (the probes can only
-         add overhead — these bound the portfolio tax), one seeded
-         inequivalence, and two arithmetic shapes exercising the
-         BDD-first and SAT-first routes. *)
-      row "eq48-tree-lin" ~narrow:false
-        (fun () -> Circuits.Datapath.equality ~tree:true 48)
-        (fun () -> Circuits.Datapath.equality ~tree:false 48);
-      row "lt16-rewr" ~narrow:false
-        (fun () -> Circuits.Datapath.less_than 16)
-        (fun () -> restructured ~intensity:0.8 (Circuits.Datapath.less_than 16));
-      row "par16-tree-lin" ~narrow:false
-        (fun () -> Circuits.Datapath.parity ~tree:true 16)
-        (fun () -> Circuits.Datapath.parity ~tree:false 16);
-      row "mux5-rewr" ~narrow:false
-        (fun () -> Circuits.Datapath.mux_tree 5)
-        (fun () -> restructured (Circuits.Datapath.mux_tree 5));
-      row "alu8-rewr" ~narrow:false
-        (fun () -> Circuits.Datapath.alu 8)
-        (fun () -> restructured (Circuits.Datapath.alu 8));
-      row "maj3x8-rewr" ~narrow:false
-        (fun () -> Circuits.Misc_logic.majority3 8)
-        (fun () -> restructured (Circuits.Misc_logic.majority3 8));
-      row "lt12-neq" ~narrow:false
-        (fun () -> Circuits.Datapath.less_than 12)
-        (fun () ->
-          (* Seeded inequivalence: the counterexample path must agree
-             across engines too. *)
-          let g = restructured (Circuits.Datapath.less_than 12) in
-          Aig.set_output g 0 (Aig.Lit.neg (Aig.output g 0));
-          g);
-      row "add16-rc-cla" ~narrow:false
-        (fun () -> Circuits.Adder.ripple_carry 16)
-        (fun () -> Circuits.Adder.carry_lookahead 16);
-      row "mul4-arr-sa" ~narrow:false
-        (fun () -> Circuits.Multiplier.array 4)
-        (fun () -> Circuits.Multiplier.shift_add 4);
-    ]
-  in
-  let engines =
-    [ ("sat", Sweep.Sat_only); ("bdd", Sweep.Bdd_first); ("hybrid", Sweep.Hybrid) ]
-  in
-  let merged = Obs.Registry.create () in
-  let wins = Hashtbl.create 4 in
-  let win name = Hashtbl.replace wins name (1 + Option.value ~default:0 (Hashtbl.find_opt wins name)) in
-  let violations = ref [] in
-  let rows =
-    List.map
-      (fun (name, narrow, golden, revised) ->
-        let miter = Aig.Miter.build (golden ()) (revised ()) in
-        let results =
-          List.map
-            (fun (ename, portfolio) ->
-              let cfg = { Sweep.default_config with Sweep.words = 1; portfolio } in
-              let reg = Obs.Registry.create () in
-              let best = ref infinity and last = ref None in
-              Obs.with_ambient reg (fun () ->
-                  for _rep = 1 to 3 do
-                    let report, t = time (fun () -> Cec.check_miter (Cec.Sweeping cfg) miter) in
-                    best := Float.min !best t;
-                    last := Some report
-                  done);
-              (* Only the hybrid run's engine.* counters land in the
-                 export — one portfolio per counter set keeps the
-                 selector histograms attributable. *)
-              if ename = "hybrid" then Obs.Registry.merge_into ~into:merged reg;
-              (ename, Option.get !last, !best))
-            engines
-        in
-        let verdict_tag r =
-          match r.Cec.verdict with
-          | Cec.Equivalent _ -> "eq"
-          | Cec.Inequivalent _ -> "neq"
-          | Cec.Undecided -> "undecided"
-        in
-        (match results with
-        | (_, r0, _) :: rest ->
-          List.iter
-            (fun (ename, r, _) ->
-              if verdict_tag r <> verdict_tag r0 then
-                failwith
-                  (Printf.sprintf "p9 %s: engine %s disagrees (%s vs %s)" name ename
-                     (verdict_tag r) (verdict_tag r0)))
-            rest
-        | [] -> ());
-        let report_of e = List.assoc e (List.map (fun (n, r, _) -> (n, r)) results) in
-        let t_of e = List.assoc e (List.map (fun (n, _, t) -> (n, t)) results) in
-        (match (report_of "hybrid").Cec.verdict with
-        | Cec.Equivalent cert ->
-          let bin =
-            Proof.Binfmt.encode_hinted ~boundaries:cert.Cec.boundaries cert.Cec.proof
-              ~root:cert.Cec.root
-          in
-          (match Proof.Hint_check.check ~formula:cert.Cec.formula ~jobs:2 bin with
-          | Ok _ -> ()
-          | Error e ->
-            failwith
-              (Format.asprintf "p9 %s: hybrid certificate rejected: %a" name
-                 Proof.Hint_check.pp_error e))
-        | Cec.Inequivalent _ | Cec.Undecided -> ());
-        let t_sat = t_of "sat" and t_bdd = t_of "bdd" and t_hybrid = t_of "hybrid" in
-        let winner, _ =
-          List.fold_left
-            (fun (bn, bt) (n, _, t) -> if t < bt then (n, t) else (bn, bt))
-            ("sat", t_sat) results
-        in
-        win winner;
-        let speedup = t_sat /. Float.max t_hybrid 1e-9 in
-        if narrow && speedup < 1.5 then violations := name :: !violations;
-        let gauge suffix v =
-          Obs.Gauge.set (Obs.Registry.gauge merged ("bench.p9." ^ name ^ suffix)) v
-        in
-        gauge "_sat_ms" (1000.0 *. t_sat);
-        gauge "_bdd_ms" (1000.0 *. t_bdd);
-        gauge "_hybrid_ms" (1000.0 *. t_hybrid);
-        gauge "_hybrid_speedup" speedup;
-        [
-          name;
-          (if narrow then "narrow" else "-");
-          verdict_tag (report_of "hybrid");
-          Tables.fmt_ms t_sat;
-          Tables.fmt_ms t_bdd;
-          Tables.fmt_ms t_hybrid;
-          winner;
-          Printf.sprintf "%.1fx" speedup;
-        ])
-      workload
-  in
-  Tables.print
-    ~title:"P9: engine portfolio win rates and wall time (words=1, best of 3)"
-    ~columns:[ "case"; "cones"; "verdict"; "sat"; "bdd"; "hybrid"; "winner"; "speedup" ]
-    ~rows;
-  List.iter
-    (fun (ename, _) ->
-      let w = Option.value ~default:0 (Hashtbl.find_opt wins ename) in
-      Obs.Gauge.set (Obs.Registry.gauge merged ("bench.p9.wins_" ^ ename)) (float_of_int w);
-      Printf.printf "%s wins %d/%d rows\n" ename w (List.length rows))
-    engines;
-  (match !violations with
-  | [] -> Printf.printf "hybrid >= 1.5x over pure SAT on all narrow-cone datapath rows\n"
-  | cases -> failwith ("hybrid < 1.5x over pure SAT on: " ^ String.concat ", " cases));
-  Out_channel.with_open_text "BENCH_p9.json" (fun oc ->
-      output_string oc (Obs.Export.stats_json merged));
-  Printf.printf "wrote BENCH_p9.json (%d gauges)\n" (List.length (Obs.Registry.gauges merged))
-
 (* --- Bechamel micro-benchmarks: one Test.make per experiment --- *)
 
 
@@ -2001,7 +1823,6 @@ let experiments =
     ("p6", p6);
     ("p7", p7);
     ("p8", p8);
-    ("p9", p9);
     ("p10", p10);
   ]
 
@@ -2019,7 +1840,7 @@ let () =
       | None ->
         if name = "bechamel" then run_bechamel ()
         else begin
-          Printf.eprintf "unknown experiment %S (t1-t7/t2h, f1-f8, p1-p10, bechamel)\n" name;
+          Printf.eprintf "unknown experiment %S (t1-t7/t2h, f1-f8, p1-p8, p10, bechamel)\n" name;
           exit 2
         end)
     selected

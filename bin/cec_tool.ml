@@ -144,11 +144,10 @@ let run_dimacs path output =
       prerr_endline msg;
       2)
 
-let engine_of_string lemma_reuse words max_conflicts mode name =
-  let base = { Sweep.default_config with Sweep.lemma_reuse; words; max_conflicts; mode } in
-  match Cec.engine_of_string ~base name with
+let engine_of_string ?base name =
+  match Cec.engine_of_string ?base name with
   | Some engine -> Ok engine
-  | None -> Error (Printf.sprintf "unknown engine %S (mono|sat|sweep|bdd|hybrid)" name)
+  | None -> Error (Printf.sprintf "unknown engine %S (mono|sweep)" name)
 
 let print_cex cex =
   print_string "counterexample: ";
@@ -192,7 +191,16 @@ let run_cec path_a path_b engine_name words no_lemmas max_conflicts sweep_mode j
     prerr_endline msg;
     2
   | Ok a, Ok b -> (
-    match engine_of_string (not no_lemmas) words max_conflicts sweep_mode engine_name with
+    let base =
+      {
+        Sweep.default_config with
+        Sweep.lemma_reuse = not no_lemmas;
+        words;
+        max_conflicts;
+        mode = sweep_mode;
+      }
+    in
+    match engine_of_string ~base engine_name with
     | Error msg ->
       prerr_endline msg;
       2
@@ -448,7 +456,7 @@ let run_opt path passes words output =
       prerr_endline msg;
       2)
 
-let run_bounded path_a path_b frames engine_name sweep_mode =
+let run_bounded path_a path_b frames engine_name =
   let read path =
     try Ok (Aig.Seq.read_file path) with
     | Aig.Seq.Parse_error msg -> Error (Printf.sprintf "%s: %s" path msg)
@@ -459,7 +467,7 @@ let run_bounded path_a path_b frames engine_name sweep_mode =
     prerr_endline msg;
     2
   | Ok a, Ok b -> (
-    match engine_of_string true Sweep.default_config.Sweep.words None sweep_mode engine_name with
+    match engine_of_string engine_name with
     | Error msg ->
       prerr_endline msg;
       2
@@ -487,7 +495,7 @@ let run_bounded path_a path_b frames engine_name sweep_mode =
           print_endline "UNDECIDED";
           4)))
 
-let run_bmc path frames engine_name sweep_mode =
+let run_bmc path frames engine_name =
   match
     try Ok (Aig.Seq.read_file path) with
     | Aig.Seq.Parse_error msg -> Error (Printf.sprintf "%s: %s" path msg)
@@ -497,7 +505,7 @@ let run_bmc path frames engine_name sweep_mode =
     prerr_endline msg;
     2
   | Ok seq -> (
-    match engine_of_string true Sweep.default_config.Sweep.words None sweep_mode engine_name with
+    match engine_of_string engine_name with
     | Error msg ->
       prerr_endline msg;
       2
@@ -523,14 +531,8 @@ let run_bmc path frames engine_name sweep_mode =
 
 let mb_to_bytes = Option.map (fun mb -> mb * 1024 * 1024)
 
-let service_engine jobs budget sweep_mode portfolio =
-  let base =
-    {
-      Service.Engine.default_config with
-      Service.Engine.jobs;
-      engine = Cec.Sweeping { Sweep.default_config with Sweep.mode = sweep_mode; portfolio };
-    }
-  in
+let service_engine jobs budget =
+  let base = { Service.Engine.default_config with Service.Engine.jobs } in
   match budget with None -> base | Some _ -> { base with Service.Engine.budget = budget }
 
 (* [--socket PATH] is always a Unix path; [--listen ADDR] goes through
@@ -558,8 +560,8 @@ let listen_addrs socket listens =
     | [] -> Error "expected --socket PATH or --listen ADDR"
     | addrs -> Ok addrs)
 
-let run_serve socket listens store capacity_mb no_paranoid workers queue jobs budget sweep_mode
-    portfolio timeout_ms quiet stats_out trace_out faults =
+let run_serve socket listens store capacity_mb no_paranoid workers queue jobs budget timeout_ms
+    quiet stats_out trace_out faults =
   with_faults faults @@ fun () ->
   match listen_addrs socket listens with
   | Error msg ->
@@ -574,7 +576,7 @@ let run_serve socket listens store capacity_mb no_paranoid workers queue jobs bu
         paranoid = not no_paranoid;
         workers;
         queue_capacity = queue;
-        engine = service_engine jobs budget sweep_mode portfolio;
+        engine = service_engine jobs budget;
         default_timeout_ms = timeout_ms;
         log = not quiet;
         stats_out;
@@ -733,8 +735,8 @@ let run_fleet_admin connects connect_timeout_ms join leave drain =
       print_endline line;
       (match Service.Protocol.field "error" line with Some _ -> 2 | None -> 0))
 
-let run_batch manifest store_dir capacity_mb no_paranoid cert_format jobs budget sweep_mode
-    portfolio timeout_ms stats_out trace_out faults =
+let run_batch manifest store_dir capacity_mb no_paranoid cert_format jobs budget timeout_ms
+    stats_out trace_out faults =
   with_faults faults @@ fun () ->
   match Service.Batch.parse_manifest manifest with
   | Error msg ->
@@ -756,7 +758,7 @@ let run_batch manifest store_dir capacity_mb no_paranoid cert_format jobs budget
     let s =
       Obs.with_ambient reg (fun () ->
           Service.Batch.run ~store
-            ~engine:(service_engine jobs budget sweep_mode portfolio)
+            ~engine:(service_engine jobs budget)
             ?timeout_ms ~on_result
             pairs)
     in
@@ -881,41 +883,25 @@ let dimacs_cmd =
     (Cmd.info "dimacs" ~doc:"Export a single-output miter's CNF (with the output unit) in DIMACS.")
     Term.(const run_dimacs $ file_pos 0 "Single-output AIGER file." $ output_arg)
 
-let sweep_mode_conv = Arg.enum [ ("perpair", Sweep.Perpair); ("incr", Sweep.Incremental) ]
-
-let sweep_mode_arg =
+let engine_arg =
   Arg.(
-    value
-    & opt sweep_mode_conv Sweep.Perpair
-    & info [ "sweep" ] ~docv:"MODE"
-        ~doc:
-          "Sweeping engine mode: $(b,perpair) (a fresh solver per equivalence query, the \
-           default) or $(b,incr) (one persistent incremental solver per partition — cone CNF \
-           loaded once, queries issued as solver assumptions, learned clauses and proved lemmas \
-           carried across queries).")
-
-let portfolio_conv =
-  Arg.enum [ ("sat", Sweep.Sat_only); ("bdd", Sweep.Bdd_first); ("hybrid", Sweep.Hybrid) ]
-
-let service_engine_arg =
-  Arg.(
-    value
-    & opt portfolio_conv Sweep.Sat_only
+    value & opt string "sweep"
     & info [ "engine" ] ~docv:"ENGINE"
-        ~doc:
-          "Candidate-settling portfolio for the sweeping engine: $(b,sat) (default), $(b,bdd) \
-           or $(b,hybrid).  Certificates are resolution-only in every portfolio.")
+        ~doc:"$(b,mono) (one monolithic SAT call) or $(b,sweep) (SAT sweeping with proof stitching).")
 
 let cec_cmd =
-  let engine =
+  let sweep_mode =
     Arg.(
-      value & opt string "sweep"
-      & info [ "engine" ] ~docv:"ENGINE"
+      value
+      & opt
+          (enum [ ("perpair", Sweep.Perpair); ("incr", Sweep.Incremental) ])
+          Sweep.default_config.Sweep.mode
+      & info [ "sweep" ] ~docv:"MODE"
           ~doc:
-            "$(b,mono) (one monolithic SAT call), $(b,sat)/$(b,sweep) (pure SAT sweeping), \
-             $(b,bdd) (bounded BDD probe before every SAT query) or $(b,hybrid) (cone-feature \
-             selector routing candidates between BDD, SAT and a race).  All engines emit the \
-             same resolution-only certificates.")
+            "Sweeping engine mode: $(b,perpair) (a fresh solver per equivalence query) or \
+             $(b,incr) (one persistent incremental solver per partition — cone CNF loaded \
+             once, queries issued as solver assumptions, learned clauses and proved lemmas \
+             carried across queries).")
   in
   let words =
     Arg.(
@@ -968,8 +954,8 @@ let cec_cmd =
               undecided.";
          ])
     Term.(
-      const run_cec $ file_pos 0 "Golden AIGER file." $ file_pos 1 "Revised AIGER file." $ engine
-      $ words $ no_lemmas $ budget $ sweep_mode_arg $ jobs $ stats_out_arg $ trace_out_arg
+      const run_cec $ file_pos 0 "Golden AIGER file." $ file_pos 1 "Revised AIGER file."
+      $ engine_arg $ words $ no_lemmas $ budget $ sweep_mode $ jobs $ stats_out_arg $ trace_out_arg
       $ proof_out $ cert_format $ validate $ faults_arg)
 
 let check_proof_cmd =
@@ -1024,39 +1010,19 @@ let opt_cmd =
 
 let bounded_cmd =
   let frames = Arg.(value & opt int 8 & info [ "frames" ] ~doc:"Unrolling depth.") in
-  let engine =
-    Arg.(
-      value & opt string "sweep"
-      & info [ "engine" ] ~docv:"ENGINE"
-          ~doc:
-            "$(b,mono) (one monolithic SAT call), $(b,sat)/$(b,sweep) (pure SAT sweeping), \
-             $(b,bdd) (bounded BDD probe before every SAT query) or $(b,hybrid) (cone-feature \
-             selector routing candidates between BDD, SAT and a race).  All engines emit the \
-             same resolution-only certificates.")
-  in
   Cmd.v
     (Cmd.info "bounded"
        ~doc:"Bounded sequential equivalence of two latch-bearing AIGER files (unroll + CEC).")
     Term.(
       const run_bounded $ file_pos 0 "Golden sequential AIGER." $ file_pos 1 "Revised sequential AIGER."
-      $ frames $ engine $ sweep_mode_arg)
+      $ frames $ engine_arg)
 
 let bmc_cmd =
   let frames = Arg.(value & opt int 8 & info [ "frames" ] ~doc:"Unrolling depth.") in
-  let engine =
-    Arg.(
-      value & opt string "sweep"
-      & info [ "engine" ] ~docv:"ENGINE"
-          ~doc:
-            "$(b,mono) (one monolithic SAT call), $(b,sat)/$(b,sweep) (pure SAT sweeping), \
-             $(b,bdd) (bounded BDD probe before every SAT query) or $(b,hybrid) (cone-feature \
-             selector routing candidates between BDD, SAT and a race).  All engines emit the \
-             same resolution-only certificates.")
-  in
   Cmd.v
     (Cmd.info "bmc"
        ~doc:"Bounded safety: treat every output of a sequential AIGER file as a bad-state flag.")
-    Term.(const run_bmc $ file_pos 0 "Sequential AIGER file." $ frames $ engine $ sweep_mode_arg)
+    Term.(const run_bmc $ file_pos 0 "Sequential AIGER file." $ frames $ engine_arg)
 
 let sat_cmd =
   let trace_out =
@@ -1160,8 +1126,8 @@ let serve_cmd =
          ])
     Term.(
       const run_serve $ socket_arg $ listen_arg $ store_arg $ capacity_arg $ no_paranoid_arg
-      $ workers $ queue $ service_jobs_arg $ service_budget_arg $ sweep_mode_arg
-      $ service_engine_arg $ timeout_ms_arg $ quiet $ stats_out_arg $ trace_out_arg $ faults_arg)
+      $ workers $ queue $ service_jobs_arg $ service_budget_arg $ timeout_ms_arg $ quiet
+      $ stats_out_arg $ trace_out_arg $ faults_arg)
 
 let client_cmd =
   let ping = Arg.(value & flag & info [ "ping" ] ~doc:"Liveness probe.") in
@@ -1393,8 +1359,8 @@ let batch_cmd =
          ])
     Term.(
       const run_batch $ manifest $ store_arg $ capacity_arg $ no_paranoid_arg $ cert_format
-      $ service_jobs_arg $ service_budget_arg $ sweep_mode_arg $ service_engine_arg
-      $ timeout_ms_arg $ stats_out_arg $ trace_out_arg $ faults_arg)
+      $ service_jobs_arg $ service_budget_arg $ timeout_ms_arg $ stats_out_arg $ trace_out_arg
+      $ faults_arg)
 
 let fsck_cmd =
   Cmd.v

@@ -54,6 +54,7 @@ let of_ascii_string text =
       | _ -> fail "malformed header %S" header)
     | _ -> fail "malformed header %S" header
   in
+  if m < 0 || i < 0 || l < 0 || o < 0 || a < 0 then fail "negative count in header %S" header;
   if l <> 0 then fail "latches are not supported (combinational only)";
   if List.length rest < i + o + a then fail "truncated file";
   let take n xs =
@@ -70,36 +71,36 @@ let of_ascii_string text =
   let output_lines, rest = take o rest in
   let and_lines, _comments = take a rest in
   let g = Graph.create ~num_inputs:i in
-  (* map.(aiger_var) = our literal for that variable, or -1. *)
-  let map = Array.make (m + 1) (-1) in
-  map.(0) <- Lit.false_;
+  (* AIGER variable -> our literal, holding only the variables the input
+     and AND lines define: M may exceed I + A (ASCII AIGER allows
+     gaps), so nothing is sized from it. *)
+  let map = Hashtbl.create (i + a + 1) in
+  Hashtbl.replace map 0 Lit.false_;
+  let define kind v ours =
+    if v < 1 || v > m then fail "%s variable %d out of range" kind v;
+    if Hashtbl.mem map v then fail "variable %d defined twice" v;
+    Hashtbl.replace map v ours
+  in
   List.iteri
     (fun idx line ->
       match ints_of_line line with
       | [ lit ] ->
         if lit mod 2 <> 0 then fail "input literal %d is complemented" lit;
-        let v = lit / 2 in
-        if v < 1 || v > m then fail "input variable %d out of range" v;
-        if map.(v) <> -1 then fail "variable %d defined twice" v;
-        map.(v) <- Graph.input g idx
+        define "input" (lit / 2) (Graph.input g idx)
       | _ -> fail "malformed input line %S" line)
     input_lines;
   let map_lit lit =
-    let v = lit / 2 in
-    if v > m then fail "literal %d out of range" lit;
-    let ours = map.(v) in
-    if ours = -1 then fail "literal %d used before definition" lit;
-    Lit.apply_sign ours ~neg:(lit mod 2 = 1)
+    if lit < 0 || lit / 2 > m then fail "literal %d out of range" lit;
+    match Hashtbl.find_opt map (lit / 2) with
+    | None -> fail "literal %d used before definition" lit
+    | Some ours -> Lit.apply_sign ours ~neg:(lit mod 2 = 1)
   in
   List.iter
     (fun line ->
       match ints_of_line line with
       | [ lhs; rhs0; rhs1 ] ->
         if lhs mod 2 <> 0 then fail "AND lhs %d is complemented" lhs;
-        let v = lhs / 2 in
-        if v < 1 || v > m then fail "AND variable %d out of range" v;
-        if map.(v) <> -1 then fail "variable %d defined twice" v;
-        map.(v) <- Graph.and_ g (map_lit rhs0) (map_lit rhs1)
+        define "AND" (lhs / 2) (Graph.and_ g (map_lit rhs0) (map_lit rhs1))
       | _ -> fail "malformed AND line %S" line)
     and_lines;
   List.iter

@@ -70,6 +70,7 @@ let of_aiger_string text =
       | _ -> fail "malformed header %S" header)
     | _ -> fail "malformed header %S (sequential reader needs aag)" header
   in
+  if m < 0 || i < 0 || l < 0 || o < 0 || a < 0 then fail "negative count in header %S" header;
   let take n xs =
     let rec loop n xs acc =
       if n = 0 then (List.rev acc, xs)
@@ -93,14 +94,19 @@ let of_aiger_string text =
   let output_lines, rest = take o rest in
   let and_lines, _ = take a rest in
   let g = Graph.create ~num_inputs:(i + l) in
-  let map = Array.make (m + 1) (-1) in
-  map.(0) <- Lit.false_;
+  (* Only the variables the input, latch and AND lines define are
+     mapped: M may exceed I + L + A, so nothing is sized from it. *)
+  let map = Hashtbl.create (i + l + a + 1) in
+  Hashtbl.replace map 0 Lit.false_;
+  let define kind v ours =
+    if v < 1 || v > m then fail "%s variable %d out of range" kind v;
+    if Hashtbl.mem map v then fail "variable %d defined twice" v;
+    Hashtbl.replace map v ours
+  in
   List.iteri
     (fun idx line ->
       match ints line with
-      | [ lit ] when lit mod 2 = 0 && lit / 2 >= 1 && lit / 2 <= m ->
-        if map.(lit / 2) <> -1 then fail "variable %d defined twice" (lit / 2);
-        map.(lit / 2) <- Graph.input g idx
+      | [ lit ] when lit mod 2 = 0 -> define "input" (lit / 2) (Graph.input g idx)
       | _ -> fail "malformed input line %S" line)
     input_lines;
   let latch_next = ref [] in
@@ -112,25 +118,21 @@ let of_aiger_string text =
         (match init_rest with
         | [] | [ 0 ] -> ()
         | _ -> fail "only reset-to-0 latches are supported");
-        if map.(lit / 2) <> -1 then fail "variable %d defined twice" (lit / 2);
-        map.(lit / 2) <- Graph.input g (i + idx);
+        define "latch" (lit / 2) (Graph.input g (i + idx));
         latch_next := next :: !latch_next
       | _ -> fail "malformed latch line %S" line)
     latch_lines;
   let map_lit lit =
-    let v = lit / 2 in
-    if v > m then fail "literal %d out of range" lit;
-    if map.(v) = -1 then fail "literal %d used before definition" lit;
-    Lit.apply_sign map.(v) ~neg:(lit mod 2 = 1)
+    if lit < 0 || lit / 2 > m then fail "literal %d out of range" lit;
+    match Hashtbl.find_opt map (lit / 2) with
+    | None -> fail "literal %d used before definition" lit
+    | Some ours -> Lit.apply_sign ours ~neg:(lit mod 2 = 1)
   in
   List.iter
     (fun line ->
       match ints line with
       | [ lhs; rhs0; rhs1 ] when lhs mod 2 = 0 ->
-        let v = lhs / 2 in
-        if v < 1 || v > m then fail "AND variable %d out of range" v;
-        if map.(v) <> -1 then fail "variable %d defined twice" v;
-        map.(v) <- Graph.and_ g (map_lit rhs0) (map_lit rhs1)
+        define "AND" (lhs / 2) (Graph.and_ g (map_lit rhs0) (map_lit rhs1))
       | _ -> fail "malformed AND line %S" line)
     and_lines;
   List.iter

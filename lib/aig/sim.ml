@@ -64,7 +64,9 @@ let lit_bit sim l ~bit =
 (* Exhaustive stimulus: pattern index = input assignment.  For input i,
    bit p of its stimulus is bit i of p.  For i < 6 these are the
    classic truth-table constants; beyond, whole words alternate. *)
-let truth_table_exn g l n =
+let truth_table g l =
+  let n = Graph.num_inputs g in
+  if n > 16 then invalid_arg "Sim.truth_table: more than 16 inputs";
   let patterns = max 1 (1 lsl n) in
   let words = max 1 (patterns / 64) in
   let sim = create g ~words in
@@ -86,14 +88,5 @@ let truth_table_exn g l n =
     result.(0) <- Int64.logand result.(0) mask
   end;
   result
-
-let truth_table_opt g l =
-  let n = Graph.num_inputs g in
-  if n > 16 then None else Some (truth_table_exn g l n)
-
-let truth_table g l =
-  let n = Graph.num_inputs g in
-  if n > 16 then invalid_arg "Sim.truth_table: more than 16 inputs";
-  truth_table_exn g l n
 
 let equal_functions g a b = truth_table g a = truth_table g b

@@ -55,10 +55,5 @@ val num_patterns : t -> int
 (** @raise Invalid_argument when the graph has more than 16 inputs. *)
 val truth_table : Graph.t -> Lit.t -> int64 array
 
-(** Total variant: [None] when the graph has more than 16 inputs.
-    Engine selectors probing arbitrary cones use this so a wide cone
-    degrades to "no truth table" instead of an exception. *)
-val truth_table_opt : Graph.t -> Lit.t -> int64 array option
-
 (** Compare two literals' truth tables (same graph, <= 16 inputs). *)
 val equal_functions : Graph.t -> Lit.t -> Lit.t -> bool

@@ -44,29 +44,6 @@ let dfs_order a b =
     position;
   position
 
-(* Compare the first two outputs of a single graph — the cone-level
-   query the sweeping-engine portfolio asks ("is node n equal to its
-   class leader?"), with both candidate literals extracted as outputs
-   of one shared-input cone.  Canonicity settles equality by node-id
-   comparison; a differing pair yields a distinguishing assignment over
-   the cone's own inputs. *)
-let check_pair ?max_nodes g =
-  if Aig.num_outputs g < 2 then invalid_arg "Equiv.check_pair: expected two outputs";
-  let order = dfs_order g g in
-  let t = Manager.create ?max_nodes ~num_vars:(Aig.num_inputs g) () in
-  match
-    let outs = Manager.of_aig ~order t g in
-    if outs.(0) = outs.(1) then Equivalent
-    else
-      let diff = Manager.xor_ t outs.(0) outs.(1) in
-      match Manager.any_sat t diff with
-      | Some by_bdd_var ->
-        Inequivalent (Array.init (Aig.num_inputs g) (fun i -> by_bdd_var.(order.(i))))
-      | None -> Equivalent
-  with
-  | verdict -> { verdict; bdd_nodes = Manager.size t }
-  | exception Manager.Node_limit -> { verdict = Blowup; bdd_nodes = Manager.size t }
-
 let check ?max_nodes a b =
   if Aig.num_inputs a <> Aig.num_inputs b then invalid_arg "Equiv.check: input counts differ";
   if Aig.num_outputs a <> Aig.num_outputs b then invalid_arg "Equiv.check: output counts differ";

@@ -26,12 +26,3 @@ val dfs_order : Aig.t -> Aig.t -> int array
     {!dfs_order} for the variable order.
     @raise Invalid_argument if interfaces differ. *)
 val check : ?max_nodes:int -> Aig.t -> Aig.t -> report
-
-(** [check_pair ?max_nodes g] compares outputs 0 and 1 of a single
-    graph — the cone-level query of the sweeping-engine portfolio,
-    where both candidate literals are extracted as outputs of one
-    shared-input cone.  An [Inequivalent] assignment is over [g]'s own
-    inputs (the caller maps it back through its cone-extraction node
-    map).  @raise Invalid_argument unless [g] has at least two
-    outputs. *)
-val check_pair : ?max_nodes:int -> Aig.t -> report

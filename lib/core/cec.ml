@@ -15,9 +15,7 @@ type engine =
 let engine_of_string ?(base = Sweep.default_config) name =
   match name with
   | "mono" | "monolithic" -> Some Monolithic
-  | "sat" | "sweep" | "sweeping" -> Some (Sweeping { base with Sweep.portfolio = Sweep.Sat_only })
-  | "bdd" -> Some (Sweeping { base with Sweep.portfolio = Sweep.Bdd_first })
-  | "hybrid" -> Some (Sweeping { base with Sweep.portfolio = Sweep.Hybrid })
+  | "sweep" | "sweeping" -> Some (Sweeping base)
   | _ -> None
 
 type verdict =
@@ -55,16 +53,11 @@ let check_monolithic ?max_conflicts miter =
     sat_calls = 1;
   }
 
-let check_sweeping ?max_conflicts ?bdd_max_nodes cfg miter =
+let check_sweeping ?max_conflicts cfg miter =
   let cfg =
     match max_conflicts with
     | None -> cfg
     | Some budget -> { cfg with Sweep.max_conflicts = Some budget }
-  in
-  let cfg =
-    match bdd_max_nodes with
-    | None -> cfg
-    | Some cap -> { cfg with Sweep.bdd_max_nodes = cap }
   in
   let outcome, stats = Sweep.run miter cfg in
   let verdict =
@@ -81,11 +74,11 @@ let check_sweeping ?max_conflicts ?bdd_max_nodes cfg miter =
     sat_calls = stats.Sweep.sat_calls;
   }
 
-let check_miter ?max_conflicts ?bdd_max_nodes engine miter =
+let check_miter ?max_conflicts engine miter =
   if Aig.num_outputs miter <> 1 then invalid_arg "Cec.check_miter: expected one output";
   match engine with
   | Monolithic -> check_monolithic ?max_conflicts miter
-  | Sweeping cfg -> check_sweeping ?max_conflicts ?bdd_max_nodes cfg miter
+  | Sweeping cfg -> check_sweeping ?max_conflicts cfg miter
 
 let check engine a b = check_miter engine (Aig.Miter.build a b)
 

@@ -25,9 +25,8 @@ type engine =
   | Monolithic
   | Sweeping of Sweep.config
 
-(** Parse an engine name: ["mono"]/["monolithic"], ["sat"] (or
-    ["sweep"]/["sweeping"]) for pure SAT sweeping, ["bdd"] and
-    ["hybrid"] for the corresponding {!Sweep.portfolio} over [base]
+(** Parse an engine name: ["mono"]/["monolithic"], or
+    ["sweep"]/["sweeping"] for SAT sweeping configured by [base]
     (default {!Sweep.default_config}). *)
 val engine_of_string : ?base:Sweep.config -> string -> engine option
 
@@ -47,11 +46,8 @@ type report = {
     @raise Invalid_argument if interfaces differ. *)
 val check : engine -> Aig.t -> Aig.t -> report
 
-(** Check a prebuilt single-output miter.  [bdd_max_nodes] overrides
-    the sweeping portfolio's per-candidate BDD node cap (ignored by
-    [Monolithic]); {!Parallel} uses it to escalate engine cutoffs
-    alongside the conflict budget. *)
-val check_miter : ?max_conflicts:int -> ?bdd_max_nodes:int -> engine -> Aig.t -> report
+(** Check a prebuilt single-output miter. *)
+val check_miter : ?max_conflicts:int -> engine -> Aig.t -> report
 
 (** Bounded sequential equivalence: unroll both transition structures
     [frames] steps from their reset states and check the combinational

@@ -75,7 +75,7 @@ type slot =
   | Slot_static_neq (* disagreement literal constant true *)
   | Slot_job of job
 
-let attempt engine budget bdd_cap job =
+let attempt engine budget job =
   Fault.inject "worker.crash";
   let report =
     if Fault.fire "engine.budget" then
@@ -87,7 +87,7 @@ let attempt engine budget bdd_cap job =
         solver_conflicts = Option.value budget ~default:0;
         sat_calls = 1;
       }
-    else Cec.check_miter ?max_conflicts:budget ?bdd_max_nodes:bdd_cap engine job.cone
+    else Cec.check_miter ?max_conflicts:budget engine job.cone
   in
   job.attempts <- job.attempts + 1;
   job.conflicts <- job.conflicts + report.Cec.solver_conflicts;
@@ -111,7 +111,7 @@ let attempt engine budget bdd_cap job =
    into the caller's ambient registry after the joins.  Counter and
    histogram merging is commutative, so the aggregate is identical for
    every worker count. *)
-let run_round ~num_domains engine budget bdd_cap jobs =
+let run_round ~num_domains engine budget jobs =
   let n = Array.length jobs in
   if n = 0 then 0
   else begin
@@ -136,12 +136,12 @@ let run_round ~num_domains engine budget bdd_cap jobs =
               let job = jobs.(i) in
               let t0 = Obs.Clock.now () in
               Obs.Histogram.observe o_queue_wait_ms (1000.0 *. (t0 -. round_start));
-              (try attempt engine budget bdd_cap job
+              (try attempt engine budget job
                with e ->
                  crash job e;
                  if job.crashes <= 1 then begin
                    Obs.Counter.incr o_retries;
-                   try attempt engine budget bdd_cap job with e2 -> crash job e2
+                   try attempt engine budget job with e2 -> crash job e2
                  end);
               Obs.Counter.incr o_attempts;
               Obs.Histogram.observe o_job_ms (1000.0 *. (Obs.Clock.now () -. t0));
@@ -305,16 +305,6 @@ let check ?(config = default_config) a b =
   let budget_for round =
     Option.map (fun b -> b * int_of_float (float_of_int escalation ** float_of_int round)) config.budget
   in
-  (* Engine cutoffs ride the same escalation schedule: a portfolio
-     sweep's per-candidate BDD node cap grows with the conflict budget,
-     so a cone whose BDD blew up in round 0 gets a real second chance
-     rather than hitting the identical cap again. *)
-  let bdd_cap_for round =
-    match config.engine with
-    | Cec.Sweeping { Sweep.portfolio = Sweep.Bdd_first | Sweep.Hybrid; bdd_max_nodes; _ } ->
-      Some (bdd_max_nodes * int_of_float (float_of_int escalation ** float_of_int round))
-    | _ -> None
-  in
   let pending = ref schedule in
   let continue = ref (Array.length schedule > 0) in
   while !continue do
@@ -323,7 +313,7 @@ let check ?(config = default_config) a b =
     if !rounds > 0 then Obs.Counter.incr o_escalations;
     let used =
       Obs.Span.with_ reg "parallel.round" (fun () ->
-          run_round ~num_domains config.engine budget (bdd_cap_for !rounds) !pending)
+          run_round ~num_domains config.engine budget !pending)
     in
     domains_used := max !domains_used used;
     incr rounds;

@@ -10,26 +10,7 @@ type mode =
 
 let mode_to_string = function Perpair -> "perpair" | Incremental -> "incr"
 
-let mode_of_string = function
-  | "perpair" | "per-pair" -> Some Perpair
-  | "incr" | "incremental" -> Some Incremental
-  | _ -> None
-
-type portfolio =
-  | Sat_only
-  | Bdd_first
-  | Hybrid
-
-let portfolio_to_string = function
-  | Sat_only -> "sat"
-  | Bdd_first -> "bdd"
-  | Hybrid -> "hybrid"
-
-let portfolio_of_string = function
-  | "sat" -> Some Sat_only
-  | "bdd" -> Some Bdd_first
-  | "hybrid" -> Some Hybrid
-  | _ -> None
+type portfolio = Sat_only
 
 type config = {
   words : int;
@@ -38,8 +19,6 @@ type config = {
   lemma_reuse : bool;
   mode : mode;
   portfolio : portfolio;
-  bdd_max_nodes : int;
-  sim_refine_width : int;
 }
 
 let default_config =
@@ -50,8 +29,6 @@ let default_config =
     lemma_reuse = true;
     mode = Perpair;
     portfolio = Sat_only;
-    bdd_max_nodes = 20_000;
-    sim_refine_width = 10;
   }
 
 type stats = {
@@ -63,11 +40,6 @@ type stats = {
   mutable lemmas : int;
   mutable conflicts : int;
   mutable reused : int;
-  mutable bdd_proved : int;
-  mutable bdd_cex : int;
-  mutable bdd_blowups : int;
-  mutable sim_proved : int;
-  mutable sim_splits : int;
 }
 
 let fresh_stats () =
@@ -80,11 +52,6 @@ let fresh_stats () =
     lemmas = 0;
     conflicts = 0;
     reused = 0;
-    bdd_proved = 0;
-    bdd_cex = 0;
-    bdd_blowups = 0;
-    sim_proved = 0;
-    sim_splits = 0;
   }
 
 (* Ambient-registry handles, resolved once per engine. *)
@@ -131,18 +98,6 @@ type query_result =
   | Countermodel of bool array (* input assignment *)
   | Budget
 
-(* Verdict of the pre-SAT portfolio stages (simulation refinement and
-   the BDD closer) on one candidate. *)
-type probe_verdict =
-  | Probe_cex of bool array
-      (* distinguishing input assignment: the candidate is false, no
-         SAT call needed — the pattern splits the class *)
-  | Probe_equal
-      (* functionally proved equal; the SAT query that follows only
-         re-derives the merge as a resolution lemma, keeping the
-         stitched certificate resolution-only *)
-  | Probe_unknown (* nothing learned: plain SAT *)
-
 (* The generic sweeping skeleton: an engine provides the SAT query; the
    skeleton walks nodes in topological order, settles each against its
    simulation-class leader, refines on counterexamples and records
@@ -154,11 +109,6 @@ type engine = {
   obs : obs_handles;
   simc : Simclass.t;
   merged : (int * bool) option array;
-  probe : int -> int -> bool -> probe_verdict;
-      (* [probe n r phase] runs the portfolio's pre-SAT stages on the
-         candidate "node [n] equals leader [r] up to [phase]" ([r = 0]
-         means the constant given by [phase]).  The identity
-         [fun _ _ _ -> Probe_unknown] is pure SAT sweeping. *)
   query : lits:Lit.t list -> assumptions:Lit.t list -> query_result;
   try_reuse : lits:Lit.t list -> assumptions:Lit.t list -> query_result option;
       (* settle a query from facts the engine already holds, without a
@@ -170,236 +120,6 @@ let extract_inputs g model =
   Array.init (Aig.num_inputs g) (fun i ->
       let v = Lit.var (Aig.input g i) in
       v < Array.length model && model.(v))
-
-(* --- pre-SAT portfolio stages: simulation refinement + BDD closer --
-
-   Both candidate literals are extracted as the two outputs of one
-   shared-input cone ({!Aig.extract_cone} keeps every primary input
-   identically numbered), so any distinguishing assignment found over
-   the cone is directly a global refinement pattern. *)
-
-type portfolio_obs = {
-  p_sim_splits : Obs.Counter.t;
-  p_sim_proved : Obs.Counter.t;
-  p_bdd_proved : Obs.Counter.t;
-  p_bdd_cex : Obs.Counter.t;
-  p_bdd_blowups : Obs.Counter.t;
-  p_fallbacks : Obs.Counter.t;
-  p_route_bdd : Obs.Counter.t;
-  p_route_sat : Obs.Counter.t;
-  p_route_race : Obs.Counter.t;
-  p_cone_width : Obs.Histogram.t;
-  p_cone_ands : Obs.Histogram.t;
-}
-
-(* Resolved only when the portfolio is active: a pure-SAT sweep must
-   not register engine.* metrics (the observability goldens pin the
-   full counter set of the default path). *)
-let portfolio_obs () =
-  let reg = Obs.ambient () in
-  let c = Obs.Registry.counter reg in
-  {
-    p_sim_splits = c "engine.sim_splits";
-    p_sim_proved = c "engine.sim_proved";
-    p_bdd_proved = c "engine.bdd_proved";
-    p_bdd_cex = c "engine.bdd_cex";
-    p_bdd_blowups = c "engine.bdd_blowups";
-    p_fallbacks = c "engine.fallbacks";
-    p_route_bdd = c "engine.route_bdd";
-    p_route_sat = c "engine.route_sat";
-    p_route_race = c "engine.route_race";
-    p_cone_width =
-      Obs.Registry.histogram ~bounds:[| 4.; 8.; 16.; 32.; 64.; 128. |] reg "engine.cone_width";
-    p_cone_ands =
-      Obs.Registry.histogram
-        ~bounds:[| 16.; 64.; 256.; 1024.; 4096.; 16384. |]
-        reg "engine.cone_ands";
-  }
-
-(* Exhaustive bit-parallel simulation over the candidate cone's support
-   — complete on [2^width] patterns, so "no differing pattern" IS
-   functional equality, and a differing pattern index encodes a
-   counterexample assignment.  Pattern bits beyond [2^width] in a
-   partial word repeat earlier assignments (index bits above [width]
-   drive no support input), so no masking is needed on either side. *)
-let sim_refine cone support width =
-  let words = max 1 ((1 lsl width) / 64) in
-  let sim = Aig.Sim.create cone ~words in
-  Array.iteri
-    (fun k input ->
-      for w = 0 to words - 1 do
-        let v = ref 0L in
-        for off = 0 to 63 do
-          if (((w * 64) + off) lsr k) land 1 = 1 then
-            v := Int64.logor !v (Int64.shift_left 1L off)
-        done;
-        Aig.Sim.set_input_word sim ~input ~word:w !v
-      done)
-    support;
-  Aig.Sim.run sim;
-  let la = Aig.output cone 0 and lb = Aig.output cone 1 in
-  let diff = ref (-1) in
-  (try
-     for w = 0 to words - 1 do
-       let d = Int64.logxor (Aig.Sim.lit_word sim la w) (Aig.Sim.lit_word sim lb w) in
-       if d <> 0L then begin
-         let off = ref 0 in
-         while Int64.logand (Int64.shift_right_logical d !off) 1L = 0L do
-           incr off
-         done;
-         diff := (w * 64) + !off;
-         raise Exit
-       end
-     done
-   with Exit -> ());
-  if !diff < 0 then `Equal
-  else begin
-    let p = !diff in
-    let pattern = Array.make (Aig.num_inputs cone) false in
-    Array.iteri (fun k input -> pattern.(input) <- (p lsr k) land 1 = 1) support;
-    `Cex pattern
-  end
-
-(* Structural XOR scan: count AND nodes of shape
-   [~(x & y) & ~(~x & ~y)] (XOR/XNOR up to output sign).  Rewriting can
-   dissolve the textbook shape, so the selector backs this up with the
-   functional projection probe below. *)
-let xor_roots g =
-  let count = ref 0 in
-  Aig.iter_ands g (fun n ->
-      let f0 = Aig.fanin0 g n and f1 = Aig.fanin1 g n in
-      if
-        Lit.is_neg f0 && Lit.is_neg f1
-        && Aig.is_and_node g (Lit.var f0)
-        && Aig.is_and_node g (Lit.var f1)
-      then begin
-        let a = Lit.var f0 and b = Lit.var f1 in
-        let a0 = Aig.fanin0 g a and a1 = Aig.fanin1 g a in
-        let b0 = Aig.fanin0 g b and b1 = Aig.fanin1 g b in
-        let opp u v = Lit.var u = Lit.var v && Lit.is_neg u <> Lit.is_neg v in
-        if (opp a0 b0 && opp a1 b1) || (opp a0 b1 && opp a1 b0) then incr count
-      end);
-  !count
-
-(* Functional XOR probe: project the candidate function onto its first
-   six support inputs (the rest held at zero) and price the
-   projection's irredundant cover ({!Synth.Isop}).  A parity-like
-   projection costs [vars * 2^(vars-1)] literals — at least [2^vars] —
-   while control logic (AND/OR/MUX trees) stays far below; this
-   catches XOR-dense arithmetic whose structural shape rewriting has
-   dissolved. *)
-let projection_sop_dense cone support =
-  let vars = min 6 (Array.length support) in
-  if vars < 4 then false
-  else begin
-    let sim = Aig.Sim.create cone ~words:1 in
-    for k = 0 to vars - 1 do
-      let v = ref 0L in
-      for p = 0 to 63 do
-        if (p lsr k) land 1 = 1 then v := Int64.logor !v (Int64.shift_left 1L p)
-      done;
-      Aig.Sim.set_input_word sim ~input:support.(k) ~word:0 !v
-    done;
-    Aig.Sim.run sim;
-    let mask =
-      if vars = 6 then -1L else Int64.sub (Int64.shift_left 1L (1 lsl vars)) 1L
-    in
-    let truth = Int64.logand (Aig.Sim.lit_word sim (Aig.output cone 0) 0) mask in
-    Synth.Isop.literal_count (Synth.Isop.compute ~vars truth) >= 1 lsl vars
-  end
-
-type route =
-  | Route_bdd (* full node budget *)
-  | Route_sat (* skip the BDD: predicted blowup *)
-  | Route_race (* reduced node budget, SAT on blowup *)
-
-(* Cone features -> route.  Narrow or small cones go to the BDD
-   (canonical and fast there); XOR-dense cones deeper than their
-   support is wide — the multiplier signature (carry-save chains run
-   deeper than the operand width, while comparator/parity chains stay
-   shallower than their input count) — go straight to SAT rather than
-   burning the node budget on a guaranteed blowup; everything else
-   races a small-budget BDD with SAT as the fallback, letting the node
-   cap itself act as the selector of last resort. *)
-let select_route ~width ~ands ~depth ~dense =
-  if width <= 24 && ands <= 4_000 then Route_bdd
-  else if dense && ands >= 256 && depth >= width then Route_sat
-  else Route_race
-
-let make_probe g cfg stats =
-  match cfg.portfolio with
-  | Sat_only -> fun _ _ _ -> Probe_unknown
-  | (Bdd_first | Hybrid) as pf ->
-    let o = portfolio_obs () in
-    fun n r phase ->
-      let ln = Lit.of_var n in
-      let lt =
-        if r = 0 then if phase then Lit.true_ else Lit.false_
-        else Lit.apply_sign (Lit.of_var r) ~neg:phase
-      in
-      let lits = [ ln; lt ] in
-      let cone = Aig.extract_cone g lits in
-      let support = Aig.Cone.support g lits in
-      let width = Array.length support in
-      let ands = Aig.num_ands cone in
-      Obs.Histogram.observe o.p_cone_width (float_of_int width);
-      Obs.Histogram.observe o.p_cone_ands (float_of_int ands);
-      if width <= cfg.sim_refine_width && width <= 16 then begin
-        match sim_refine cone support width with
-        | `Cex pattern ->
-          stats.sim_splits <- stats.sim_splits + 1;
-          Obs.Counter.incr o.p_sim_splits;
-          Probe_cex pattern
-        | `Equal ->
-          stats.sim_proved <- stats.sim_proved + 1;
-          Obs.Counter.incr o.p_sim_proved;
-          Probe_equal
-      end
-      else begin
-        let route =
-          match pf with
-          | Bdd_first -> Route_bdd
-          | Sat_only -> assert false
-          | Hybrid ->
-            let dense =
-              (ands > 0 && float_of_int (3 * xor_roots cone) /. float_of_int ands >= 0.25)
-              || projection_sop_dense cone support
-            in
-            select_route ~width ~ands ~depth:(Aig.depth cone) ~dense
-        in
-        (* Circuit breaker: once this sweep has burned 32 race-budget
-           BDD builds without an answer, the structure is telling us
-           its BDDs don't fit — stop paying for further races and send
-           the uncertain cones straight to SAT.  Confident Route_bdd
-           cones (narrow and small) keep their full budget. *)
-        let route =
-          if route = Route_race && stats.bdd_blowups >= 32 then Route_sat else route
-        in
-        match route with
-        | Route_sat ->
-          Obs.Counter.incr o.p_route_sat;
-          Probe_unknown
-        | (Route_bdd | Route_race) as rt ->
-          let max_nodes =
-            if rt = Route_race then max 1_000 (cfg.bdd_max_nodes / 8) else cfg.bdd_max_nodes
-          in
-          Obs.Counter.incr (if rt = Route_race then o.p_route_race else o.p_route_bdd);
-          let report = Bdd.Equiv.check_pair ~max_nodes cone in
-          (match report.Bdd.Equiv.verdict with
-          | Bdd.Equiv.Equivalent ->
-            stats.bdd_proved <- stats.bdd_proved + 1;
-            Obs.Counter.incr o.p_bdd_proved;
-            Probe_equal
-          | Bdd.Equiv.Inequivalent pattern ->
-            stats.bdd_cex <- stats.bdd_cex + 1;
-            Obs.Counter.incr o.p_bdd_cex;
-            Probe_cex pattern
-          | Bdd.Equiv.Blowup ->
-            stats.bdd_blowups <- stats.bdd_blowups + 1;
-            Obs.Counter.incr o.p_bdd_blowups;
-            Obs.Counter.incr o.p_fallbacks;
-            Probe_unknown)
-      end
 
 (* Prove node [n] equal to the constant given by [phase]: one
    refutation; its lemma [(~n)] or [(n)] subsumes both equivalence
@@ -453,25 +173,16 @@ let prove_pair e n r phase =
 
 (* Settle one AND node against its current class leader, retrying after
    counterexample refinements (each refinement strictly splits the
-   class, so this terminates).  The portfolio probe runs first: a probe
-   counterexample splits the class without any SAT call (the pattern
-   provably separates [n] from its leader, so progress is preserved);
-   probe-proved candidates still go through the SAT query so the merge
-   is re-derived as a resolution lemma. *)
+   class, so this terminates). *)
 let rec settle e n =
   match Simclass.candidate e.simc n with
   | None -> ()
-  | Some (r, phase) -> (
-    match e.probe n r phase with
-    | Probe_cex inputs ->
-      Simclass.add_pattern e.simc inputs;
-      settle e n
-    | Probe_equal | Probe_unknown ->
-      let verdict = if r = 0 then prove_constant e n phase else prove_pair e n r phase in
-      (match verdict with
-      | `Merged -> e.merged.(n) <- Some (r, phase)
-      | `Gave_up -> ()
-      | `Cex -> settle e n))
+  | Some (r, phase) ->
+    let verdict = if r = 0 then prove_constant e n phase else prove_pair e n r phase in
+    (match verdict with
+    | `Merged -> e.merged.(n) <- Some (r, phase)
+    | `Gave_up -> ()
+    | `Cex -> settle e n)
 
 let sweep_all e = Aig.iter_ands e.g (fun n -> settle e n)
 
@@ -596,7 +307,6 @@ let make_fresh_engine g cfg ~formula =
       obs = o;
       simc = Simclass.create g ~words:cfg.words ~seed:cfg.seed;
       merged = Array.make (Aig.num_nodes g) None;
-      probe = (fun _ _ _ -> Probe_unknown);
       query = (fun ~lits ~assumptions -> fresh_query g cfg st stats ~lits ~assumptions);
       try_reuse = (fun ~lits:_ ~assumptions:_ -> None);
       register_lemma = (fun clause root -> fresh_register o st stats clause root);
@@ -678,7 +388,6 @@ let make_incremental_engine g cfg ~formula =
       obs = o;
       simc = Simclass.create g ~words:cfg.words ~seed:cfg.seed;
       merged = Array.make (Aig.num_nodes g) None;
-      probe = (fun _ _ _ -> Probe_unknown);
       query;
       try_reuse;
       register_lemma;
@@ -733,7 +442,6 @@ let make_engine g cfg ~formula =
       | Budget -> Obs.Counter.incr o.o_budget);
       r
   in
-  let probe = make_probe g cfg engine.stats in
   let finalize () =
     Obs.Counter.incr o.o_sat_calls;
     let outcome = finalize () in
@@ -743,7 +451,7 @@ let make_engine g cfg ~formula =
     | Unresolved -> Obs.Counter.incr o.o_budget);
     outcome
   in
-  ({ engine with query; probe }, finalize)
+  ({ engine with query }, finalize)
 
 let run g cfg =
   if Aig.num_outputs g <> 1 then invalid_arg "Sweep.run: expected a single-output miter";

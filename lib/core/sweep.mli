@@ -31,30 +31,12 @@ type mode =
 
 val mode_to_string : mode -> string
 
-(** Inverse of {!mode_to_string}; also accepts the long spellings
-    ["per-pair"] and ["incremental"]. *)
-val mode_of_string : string -> mode option
-
-(** Candidate-settling portfolio — which engines run {e before} the SAT
-    closer on each candidate equivalence.  Certificates stay
-    resolution-only in every portfolio: a candidate the BDD or
-    exhaustive simulation proves equal is still re-derived by the
-    (lemma-assisted) SAT query, so stitched refutations check exactly
-    as in pure SAT sweeping. *)
-type portfolio =
-  | Sat_only  (** the SAT closer alone (the default, and the baseline) *)
-  | Bdd_first
-      (** every too-wide-for-simulation candidate tries a bounded BDD
-          ({!Bdd.Equiv.check_pair}) before SAT; blowups fall through *)
-  | Hybrid
-      (** a cone-feature selector (support width, AND count, depth,
-          XOR density) routes each candidate BDD-first, SAT-first, or
-          to a reduced-budget BDD race *)
-
-val portfolio_to_string : portfolio -> string
-
-(** Inverse of {!portfolio_to_string} (["sat"], ["bdd"], ["hybrid"]). *)
-val portfolio_of_string : string -> portfolio option
+(** Which engine settles candidate equivalences: SAT, always.  The
+    one-value type and the {!config} field it fills stay so that code
+    written against the older multi-engine configuration still builds
+    (perfbench's service replay sets [portfolio = Sat_only]).  No code
+    reads the field. *)
+type portfolio = Sat_only
 
 type config = {
   words : int;  (** random simulation words (64 patterns each) *)
@@ -62,15 +44,7 @@ type config = {
   max_conflicts : int option;  (** per-query conflict budget *)
   lemma_reuse : bool;  (** feed proved lemmas to later SAT calls *)
   mode : mode;  (** see {!mode}; default {!Perpair} *)
-  portfolio : portfolio;  (** see {!portfolio}; default {!Sat_only} *)
-  bdd_max_nodes : int;
-      (** BDD node cap per candidate probe (default 20000); the race
-          route uses an eighth of it.  Escalated alongside the conflict
-          budget by {!Parallel}'s rounds. *)
-  sim_refine_width : int;
-      (** support-width cap (<= 16) under which a candidate is settled
-          by exhaustive bit-parallel simulation of its cone instead of
-          any engine probe (default 10) *)
+  portfolio : portfolio;  (** see {!portfolio}; ignored *)
 }
 
 val default_config : config
@@ -86,18 +60,6 @@ type stats = {
   mutable reused : int;
       (** queries settled from root-level facts without a SAT call
           (incremental mode only) *)
-  mutable bdd_proved : int;
-      (** candidates the bounded BDD probe proved equal (each is then
-          re-derived by SAT for the certificate) *)
-  mutable bdd_cex : int;  (** candidates the BDD probe refuted — no SAT call *)
-  mutable bdd_blowups : int;
-      (** BDD probes that hit the node cap and fell through to SAT *)
-  mutable sim_proved : int;
-      (** candidates proved equal by exhaustive simulation of a narrow
-          cone (then re-derived by SAT) *)
-  mutable sim_splits : int;
-      (** candidates refuted by exhaustive narrow-cone simulation — no
-          engine probe or SAT call *)
 }
 
 type outcome =

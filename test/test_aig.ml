@@ -165,25 +165,19 @@ let prop_truth_table_matches_eval =
       !ok)
 
 let test_truth_table_wide_cone () =
-  (* 17 inputs is past the exhaustive-simulation limit: the exception
-     variant must refuse, the total variant must return None (the
-     portfolio selector relies on this degrading instead of raising),
-     and at exactly 16 inputs both must still work. *)
+  (* 17 inputs is past the exhaustive-simulation limit: truth_table
+     must refuse, and at exactly 16 inputs it must still work. *)
   let wide = Aig.create ~num_inputs:17 in
   Aig.add_output wide (Aig.and_list wide (List.init 17 (Aig.input wide)));
   (match Sim.truth_table wide (Aig.output wide 0) with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "truth_table accepted a 17-input graph");
-  Alcotest.(check bool) "truth_table_opt is None past 16 inputs" true
-    (Sim.truth_table_opt wide (Aig.output wide 0) = None);
   let limit = Aig.create ~num_inputs:16 in
   Aig.add_output limit (Aig.and_list limit (List.init 16 (Aig.input limit)));
-  match Sim.truth_table_opt limit (Aig.output limit 0) with
-  | None -> Alcotest.fail "truth_table_opt refused a 16-input graph"
-  | Some tt ->
-    Alcotest.(check int) "16-input table spans 1024 words" 1024 (Array.length tt);
-    if tt = Sim.truth_table limit (Aig.output limit 0) then () else
-      Alcotest.fail "total and raising variants disagree at the limit"
+  let tt = Sim.truth_table limit (Aig.output limit 0) in
+  Alcotest.(check int) "16-input table spans 1024 words" 1024 (Array.length tt);
+  Alcotest.(check int64) "AND of all 16 inputs is true only on the last pattern"
+    Int64.min_int tt.(1023)
 
 let test_set_input_bit () =
   let g = Aig.create ~num_inputs:1 in
@@ -266,7 +260,27 @@ let test_aiger_errors () =
   (* latches *)
   expect_error "aag 1 2 0 0 0\n2\n4\n";
   (* var out of range *)
-  expect_error "aag 2 1 0 1 1\n2\n4\n4 6 2\n" (* fanin used before definition *)
+  expect_error "aag 2 1 0 1 1\n2\n4\n4 6 2\n";
+  (* fanin used before definition *)
+  expect_error "aag 1 1 0 1 0\n2\n-3\n";
+  (* negative literal *)
+  expect_error "aag -1 0 0 0 0\n" (* negative header count *)
+
+(* The header's M bounds variable indices but sizes nothing: a huge M
+   over an empty body is an empty graph, and index gaps (M above
+   I + A) stay legal. *)
+let test_aiger_sparse_variables () =
+  let huge = Aig.Aiger.of_string "aag 99999999999 0 0 0 0\n" in
+  Alcotest.(check int) "no inputs" 0 (Aig.num_inputs huge);
+  Alcotest.(check int) "no outputs" 0 (Aig.num_outputs huge);
+  (* variables 1 and 4 are inputs, 5 = 4 & ~1; 2, 3, 6, 7 are unused *)
+  let g = Aig.Aiger.of_string "aag 7 2 0 1 1\n2\n8\n10\n10 8 3\n" in
+  Alcotest.(check int) "two inputs" 2 (Aig.num_inputs g);
+  Alcotest.(check int) "one AND" 1 (Aig.num_ands g);
+  List.iter
+    (fun (a, b) ->
+      Alcotest.(check bool) "b & ~a" (b && not a) (Aig.eval g [| a; b |]).(0))
+    [ (false, false); (false, true); (true, false); (true, true) ]
 
 let test_aiger_file_io () =
   let g = Circuits.Adder.ripple_carry 3 in
@@ -340,6 +354,7 @@ let base_suites =
         prop_cleanup_preserves;
         prop_aiger_roundtrip;
         Alcotest.test_case "aiger malformed inputs" `Quick test_aiger_errors;
+        Alcotest.test_case "aiger sparse variables" `Quick test_aiger_sparse_variables;
         Alcotest.test_case "aiger file io" `Quick test_aiger_file_io;
         Alcotest.test_case "miter of identical circuits" `Quick test_miter_of_equal_is_const;
         Alcotest.test_case "miter detects difference" `Quick test_miter_detects_difference;

@@ -184,32 +184,6 @@ let prop_check_matches_sat =
       | _ ->
         QCheck.Test.fail_reportf "seed %d: BDD and SAT verdicts disagree" seed)
 
-(* [check_pair] is the portfolio's cone query: outputs 0 and 1 of one
-   graph.  An Inequivalent assignment must distinguish exactly those
-   two outputs under [Aig.eval]; Equivalent is checked exhaustively
-   (the generated cones are narrow enough). *)
-let prop_check_pair_cex_maps =
-  qtest "check_pair models distinguish the outputs" (fun seed ->
-      let num_inputs = 3 + (seed mod 4) in
-      let g =
-        Circuits.Random_aig.generate (Rng.create seed) ~num_inputs ~num_ands:(10 + (seed mod 25))
-          ~num_outputs:2
-      in
-      match (Bdd.Equiv.check_pair g).Bdd.Equiv.verdict with
-      | Bdd.Equiv.Inequivalent cex ->
-        let v = Aig.eval g cex in
-        v.(0) <> v.(1)
-      | Bdd.Equiv.Equivalent ->
-        let ok = ref true in
-        for mask = 0 to (1 lsl num_inputs) - 1 do
-          let assignment = Array.init num_inputs (fun i -> (mask lsr i) land 1 = 1) in
-          let v = Aig.eval g assignment in
-          if v.(0) <> v.(1) then ok := false
-        done;
-        !ok
-      | Bdd.Equiv.Blowup ->
-        QCheck.Test.fail_reportf "seed %d: blowup under the default cap" seed)
-
 (* A starved cap may force Blowup but must never change an answer:
    whatever the tiny-cap run returns, if it is not Blowup it has to be
    the default-cap verdict. *)
@@ -242,7 +216,6 @@ let suites =
         Alcotest.test_case "equiv blowup reported" `Quick test_equiv_blowup_reported;
         Alcotest.test_case "equiv agrees with sat engines" `Quick test_equiv_agrees_with_sat;
         prop_check_matches_sat;
-        prop_check_pair_cex_maps;
         prop_tiny_cap_never_lies;
       ] );
   ]

@@ -217,6 +217,46 @@ let test_cut_parameter_validation () =
   expect_invalid "k too small" (fun () -> Aig.Cut.enumerate g ~k:0 ~max_cuts:4);
   expect_invalid "max_cuts" (fun () -> Aig.Cut.enumerate g ~k:4 ~max_cuts:0)
 
+(* --- hostile AIGER through the CLI --- *)
+
+(* A header M far beyond the body and a latch literal above M: every
+   subcommand reading them must answer with one of its own exit codes
+   (0-4), never an escaped exception (cmdliner's 125). *)
+let test_cli_hostile_aiger () =
+  let tool = Filename.concat (Filename.dirname Sys.executable_name) "../bin/cec_tool.exe" in
+  let write text =
+    let path = Filename.temp_file "cecproof-hostile" ".aag" in
+    Out_channel.with_open_bin path (fun oc -> output_string oc text);
+    path
+  in
+  let huge = write "aag 99999999999 0 0 0 0\n" in
+  let latch = write "aag 1 0 1 0 0\n100 0\n" in
+  let exit_code args =
+    let null = Unix.openfile Filename.null [ Unix.O_WRONLY ] 0 in
+    let pid =
+      Fun.protect
+        ~finally:(fun () -> Unix.close null)
+        (fun () -> Unix.create_process tool (Array.of_list (tool :: args)) Unix.stdin null null)
+    in
+    match Unix.waitpid [] pid with
+    | _, Unix.WEXITED code -> code
+    | _ -> Alcotest.failf "cec_tool %s died on a signal" (String.concat " " args)
+  in
+  Fun.protect
+    ~finally:(fun () -> List.iter Sys.remove [ huge; latch ])
+    (fun () ->
+      List.iter
+        (fun args ->
+          let code = exit_code args in
+          if code > 4 then Alcotest.failf "cec_tool %s exited %d" (String.concat " " args) code)
+        [
+          [ "cec"; huge; huge ];
+          [ "stats"; huge ];
+          [ "bmc"; huge ];
+          [ "bounded"; latch; latch ];
+          [ "bmc"; latch ];
+        ])
+
 let suites =
   [
     ( "edge",
@@ -238,5 +278,6 @@ let suites =
         Alcotest.test_case "trace malformed" `Quick test_trace_malformed;
         Alcotest.test_case "bdd ite" `Quick test_bdd_ite_and_eval;
         Alcotest.test_case "cut parameters" `Quick test_cut_parameter_validation;
+        Alcotest.test_case "hostile aiger through the cli" `Quick test_cli_hostile_aiger;
       ] );
   ]

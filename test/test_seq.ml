@@ -128,7 +128,24 @@ let test_seq_aiger_errors () =
   expect "";
   expect "aag 2 1 1 0 0\n2\n4 2 1\n";
   (* reset-to-1 unsupported *)
-  expect "aag 2 1 1 0 0\n2\n5 2\n" (* complemented latch literal *)
+  expect "aag 2 1 1 0 0\n2\n5 2\n";
+  (* complemented latch literal *)
+  expect "aag 1 0 1 0 0\n100 0\n";
+  (* latch variable above M *)
+  expect "aag -1 0 0 0 0\n" (* negative header count *)
+
+(* M bounds variable indices but sizes nothing: a huge M over an
+   empty body parses, and index gaps (M above I + L + A) stay legal. *)
+let test_seq_aiger_sparse_variables () =
+  let huge = Seq.of_aiger_string "aag 99999999999 0 0 0 0\n" in
+  Alcotest.(check int) "no latches" 0 (Seq.num_latches huge);
+  (* input 1, latch 4 with next state 5 = 4 & ~1, output 5; variables
+     2, 3, 6..9 are unused *)
+  let seq = Seq.of_aiger_string "aag 9 1 1 1 1\n2\n8 10\n10\n10 8 3\n" in
+  Alcotest.(check int) "one input" 1 (Seq.num_pis seq);
+  Alcotest.(check int) "one latch" 1 (Seq.num_latches seq);
+  Alcotest.(check int) "one output" 1 (Seq.num_pos seq);
+  Alcotest.(check int) "one AND" 1 (Aig.num_ands (Seq.transition seq))
 
 let test_combinational_reader_still_rejects_latches () =
   match Aig.Aiger.of_string "aag 2 1 1 0 0\n2\n4 2\n" with
@@ -146,6 +163,7 @@ let base_suites =
         Alcotest.test_case "lfsr period" `Quick test_lfsr_period;
         Alcotest.test_case "seq aiger roundtrip" `Quick test_seq_aiger_roundtrip;
         Alcotest.test_case "seq aiger errors" `Quick test_seq_aiger_errors;
+        Alcotest.test_case "seq aiger sparse variables" `Quick test_seq_aiger_sparse_variables;
         Alcotest.test_case "combinational reader rejects latches" `Quick
           test_combinational_reader_still_rejects_latches;
       ] );

@@ -74,16 +74,33 @@ let test_small_suite_differential () =
   List.iter
     (fun (case : Suite.case) ->
       differential ~name:case.Suite.name (case.Suite.golden ()) (case.Suite.revised ()))
-    Suite.small
+    Suite.small;
+  (* Wide equality comparators, tree against linear reduction: their
+     AND-reduction nodes look constant under random simulation, so
+     most candidates are false and each is refuted by a SAT
+     countermodel. *)
+  List.iter
+    (fun width ->
+      differential
+        ~name:(Printf.sprintf "eq%d" width)
+        (Circuits.Datapath.equality ~tree:true width)
+        (Circuits.Datapath.equality ~tree:false width))
+    [ 16; 32 ]
 
 let test_inequivalent_fixtures () =
-  (* A negated output and a single corrupted gate: both modes must find
+  (* Negated outputs and a single corrupted gate: both modes must find
      a counterexample that replays on the miter. *)
   let negated () =
     let golden = Circuits.Adder.ripple_carry 4 in
     let revised = Circuits.Adder.ripple_carry 4 in
     Aig.set_output revised 0 (Aig.Lit.neg (Aig.output revised 0));
     ("negated-add4", golden, revised)
+  in
+  let negated_comparator () =
+    let golden = Circuits.Datapath.equality ~tree:true 12 in
+    let revised = Circuits.Datapath.equality ~tree:false 12 in
+    Aig.set_output revised 0 (Aig.Lit.neg (Aig.output revised 0));
+    ("negated-eq12", golden, revised)
   in
   let corrupted () =
     let golden = Circuits.Multiplier.array 3 in
@@ -92,7 +109,9 @@ let test_inequivalent_fixtures () =
     Aig.set_output revised o (Aig.Lit.neg (Aig.output revised o));
     ("corrupted-mul3", golden, revised)
   in
-  List.iter (fun (name, g, r) -> differential ~name g r) [ negated (); corrupted () ]
+  List.iter
+    (fun (name, g, r) -> differential ~name g r)
+    [ negated (); negated_comparator (); corrupted () ]
 
 (* --- random AIG pairs (qcheck) --- *)
 
@@ -250,35 +269,31 @@ let test_contradictory_assumptions_regression () =
       (Clause.fold (fun acc l -> acc && (l = nlit 0 || l = lit 1)) true clause)
   | _ -> Alcotest.fail "expected clause-driven Unsat_assuming"
 
-(* --- full-stack smoke under the CI-selected mode --- *)
+(* --- full-stack smoke in both modes --- *)
 
-(* CI runs the whole test binary once per sweep mode with
-   CEC_SWEEP_MODE set; this exercises the parallel checker and the
-   service engine under that mode (defaulting to perpair). *)
-let ci_mode =
-  match Sys.getenv_opt "CEC_SWEEP_MODE" with
-  | None -> Sweep.Perpair
-  | Some s -> (
-    match Sweep.mode_of_string s with
-    | Some m -> m
-    | None -> failwith (Printf.sprintf "CEC_SWEEP_MODE=%S not a sweep mode" s))
-
-let test_stack_smoke_under_mode () =
+(* The parallel checker and the service engine, each driven once per
+   sweep mode. *)
+let test_stack_smoke_both_modes () =
   let case = Option.get (Suite.find "add4-rc-cla") in
   let golden = case.Suite.golden () and revised = case.Suite.revised () in
-  let pconfig =
-    { Parallel.default_config with Parallel.num_domains = 2; engine = engine ci_mode }
-  in
-  (match (Parallel.check ~config:pconfig golden revised).Parallel.verdict with
-  | Cec.Equivalent cert -> check_certificate ~what:"parallel-smoke" golden revised cert
-  | Cec.Inequivalent _ | Cec.Undecided -> Alcotest.fail "parallel smoke failed");
-  let econfig =
-    { Service.Engine.default_config with Service.Engine.jobs = 2; engine = engine ci_mode }
-  in
-  let result = Service.Engine.solve econfig golden revised in
-  match result.Service.Engine.verdict with
-  | Cec.Equivalent _ -> ()
-  | Cec.Inequivalent _ | Cec.Undecided -> Alcotest.fail "service engine smoke failed"
+  List.iter
+    (fun mode ->
+      let what = mname mode in
+      let pconfig =
+        { Parallel.default_config with Parallel.num_domains = 2; engine = engine mode }
+      in
+      (match (Parallel.check ~config:pconfig golden revised).Parallel.verdict with
+      | Cec.Equivalent cert ->
+        check_certificate ~what:("parallel-smoke/" ^ what) golden revised cert
+      | Cec.Inequivalent _ | Cec.Undecided -> Alcotest.failf "%s: parallel smoke failed" what);
+      let econfig =
+        { Service.Engine.default_config with Service.Engine.jobs = 2; engine = engine mode }
+      in
+      match (Service.Engine.solve econfig golden revised).Service.Engine.verdict with
+      | Cec.Equivalent _ -> ()
+      | Cec.Inequivalent _ | Cec.Undecided ->
+        Alcotest.failf "%s: service engine smoke failed" what)
+    modes
 
 let suites =
   [
@@ -288,7 +303,7 @@ let suites =
         Alcotest.test_case "inequivalent fixtures replay" `Quick test_inequivalent_fixtures;
         Alcotest.test_case "contradictory assumptions" `Quick
           test_contradictory_assumptions_regression;
-        Alcotest.test_case "stack smoke under CEC_SWEEP_MODE" `Quick test_stack_smoke_under_mode;
+        Alcotest.test_case "stack smoke in both modes" `Quick test_stack_smoke_both_modes;
         prop_random_differential;
         prop_incremental_chain_ids;
         prop_incremental_trace_fuzz;

@@ -137,10 +137,11 @@ let prop_resynth_matches_truth =
       done;
       !ok)
 
-(* Full round trip at every width the portfolio selector feeds ISOP:
-   materialize both the direct cover and the complemented cover and
-   check both against the truth table bit-for-bit — the cheaper-form
-   choice inside [of_truth] must never change the function. *)
+(* Full round trip at every width a one-word truth table holds (1-6
+   variables): materialize both the direct cover and the complemented
+   cover and check both against the truth table bit-for-bit — the
+   cheaper-form choice inside [of_truth] must never change the
+   function. *)
 let prop_resynth_round_trip_all_widths =
   qtest "isop/of_truth round-trips at every width" ~count:200
     (QCheck.make
