@@ -27,7 +27,11 @@ let write_file path g =
   let oc = open_out path in
   Fun.protect ~finally:(fun () -> close_out oc) (fun () -> write_channel oc g)
 
-let of_ascii_string text =
+(* The one ASCII reader, latches included: the graph's inputs are the
+   I primary inputs followed by the L latch outputs (current state),
+   its outputs the O primary outputs followed by the L next-state
+   functions.  Only reset-to-0 latches are accepted. *)
+let of_ascii_with_latches text =
   let lines = String.split_on_char '\n' text in
   let lines = List.filter (fun s -> String.trim s <> "") lines in
   let header, rest =
@@ -55,8 +59,7 @@ let of_ascii_string text =
     | _ -> fail "malformed header %S" header
   in
   if m < 0 || i < 0 || l < 0 || o < 0 || a < 0 then fail "negative count in header %S" header;
-  if l <> 0 then fail "latches are not supported (combinational only)";
-  if List.length rest < i + o + a then fail "truncated file";
+  if List.length rest < i + l + o + a then fail "truncated file";
   let take n xs =
     let rec loop n xs acc =
       if n = 0 then (List.rev acc, xs)
@@ -68,13 +71,14 @@ let of_ascii_string text =
     loop n xs []
   in
   let input_lines, rest = take i rest in
+  let latch_lines, rest = take l rest in
   let output_lines, rest = take o rest in
   let and_lines, _comments = take a rest in
-  let g = Graph.create ~num_inputs:i in
-  (* AIGER variable -> our literal, holding only the variables the input
-     and AND lines define: M may exceed I + A (ASCII AIGER allows
-     gaps), so nothing is sized from it. *)
-  let map = Hashtbl.create (i + a + 1) in
+  let g = Graph.create ~num_inputs:(i + l) in
+  (* AIGER variable -> our literal, holding only the variables the
+     input, latch and AND lines define: M may exceed I + L + A (ASCII
+     AIGER allows gaps), so nothing is sized from it. *)
+  let map = Hashtbl.create (i + l + a + 1) in
   Hashtbl.replace map 0 Lit.false_;
   let define kind v ours =
     if v < 1 || v > m then fail "%s variable %d out of range" kind v;
@@ -89,6 +93,18 @@ let of_ascii_string text =
         define "input" (lit / 2) (Graph.input g idx)
       | _ -> fail "malformed input line %S" line)
     input_lines;
+  let latch_next =
+    List.mapi
+      (fun idx line ->
+        match ints_of_line line with
+        | lit :: next :: init ->
+          if lit mod 2 <> 0 then fail "latch literal %d is complemented" lit;
+          if init <> [] && init <> [ 0 ] then fail "only reset-to-0 latches are supported";
+          define "latch" (lit / 2) (Graph.input g (i + idx));
+          next
+        | _ -> fail "malformed latch line %S" line)
+      latch_lines
+  in
   let map_lit lit =
     if lit < 0 || lit / 2 > m then fail "literal %d out of range" lit;
     match Hashtbl.find_opt map (lit / 2) with
@@ -109,8 +125,13 @@ let of_ascii_string text =
       | [ lit ] -> Graph.add_output g (map_lit lit)
       | _ -> fail "malformed output line %S" line)
     output_lines;
-  g
+  List.iter (fun next -> Graph.add_output g (map_lit next)) latch_next;
+  (g, l)
 
+let of_ascii_string text =
+  match of_ascii_with_latches text with
+  | g, 0 -> g
+  | _ -> fail "latches are not supported (combinational only)"
 
 (* --- binary AIGER --- *)
 
@@ -162,6 +183,7 @@ let of_binary_string text =
       | _ -> fail "malformed binary header %S" header)
     | _ -> fail "malformed binary header %S" header
   in
+  if m < 0 || i < 0 || l < 0 || o < 0 || a < 0 then fail "negative count in header %S" header;
   if l <> 0 then fail "latches are not supported (combinational only)";
   if m <> i + a then fail "binary AIGER requires M = I + A (got M=%d I=%d A=%d)" m i a;
   let output_lits =

@@ -23,5 +23,14 @@ val to_binary_string : Graph.t -> string
     @raise Parse_error on malformed input or latches. *)
 val of_string : string -> Graph.t
 
+(** [of_ascii_with_latches text] reads an ASCII ("aag") document that
+    may declare latches (reset value 0 only) and returns the latch
+    count with the transition graph: its inputs are the primary inputs
+    followed by the latch outputs, its outputs the primary outputs
+    followed by the next-state functions.  {!of_string} is the same
+    reader with latches refused; {!Seq} wraps this one.
+    @raise Parse_error on malformed input. *)
+val of_ascii_with_latches : string -> Graph.t * int
+
 val read_channel : in_channel -> Graph.t
 val read_file : string -> Graph.t

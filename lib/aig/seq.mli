@@ -34,7 +34,9 @@ val unroll : t -> frames:int -> Graph.t
 (** {1 AIGER with latches}
 
     The combinational {!Aiger} reader rejects latches; these functions
-    accept them, using the AIGER latch convention (reset value 0). *)
+    accept them, using the AIGER latch convention (reset value 0).
+    Reading goes through {!Aiger.of_ascii_with_latches}, so
+    [Parse_error] is {!Aiger.Parse_error}. *)
 
 exception Parse_error of string
 

@@ -5,11 +5,13 @@ type t = int array
 let empty = [||]
 let is_empty c = Array.length c = 0
 
+let tautology () = invalid_arg "Clause: tautology (both polarities of a variable)"
+
 (* Sort, deduplicate, and reject tautologies.  Sorted literal order
    puts the two polarities of a variable adjacently, so both checks are
    a single pass. *)
 let normalize lits =
-  Array.sort compare lits;
+  Array.sort Int.compare lits;
   let n = Array.length lits in
   if n = 0 then [||]
   else begin
@@ -20,8 +22,7 @@ let normalize lits =
       let prev = out.(!k - 1) in
       if l = prev then ()
       else begin
-        if Lit.var l = Lit.var prev then
-          invalid_arg "Clause: tautology (both polarities of a variable)";
+        if Lit.var l = Lit.var prev then tautology ();
         out.(!k) <- l;
         incr k
       end
@@ -57,22 +58,69 @@ let hash c = Array.fold_left (fun acc l -> (acc * 31) + l + 1) 17 c
 
 let subsumes c d = Array.for_all (fun l -> mem l d) c
 
+(* The resolvent of two clauses in one merge of their sorted literal
+   arrays: the union minus the variable they clash on.  Sorted order
+   puts a variable's two literals side by side, so a clash shows up as
+   two heads [l] and [l lxor 1].  [pivot] holds the variable to drop,
+   or [-1] to drop the first clash met and record it there; a clash on
+   any other variable would leave a tautology. *)
+let merge c d pivot =
+  let nc = Array.length c and nd = Array.length d in
+  let out = Array.make (nc + nd) 0 in
+  let i = ref 0 and j = ref 0 and k = ref 0 in
+  while !i < nc && !j < nd do
+    let a = Array.unsafe_get c !i and b = Array.unsafe_get d !j in
+    if a = b then begin
+      Array.unsafe_set out !k a;
+      incr k;
+      incr i;
+      incr j
+    end
+    else if a lxor 1 = b then begin
+      let v = Lit.var a in
+      if !pivot < 0 then pivot := v else if v <> !pivot then tautology ();
+      incr i;
+      incr j
+    end
+    else if a < b then begin
+      Array.unsafe_set out !k a;
+      incr k;
+      incr i
+    end
+    else begin
+      Array.unsafe_set out !k b;
+      incr k;
+      incr j
+    end
+  done;
+  Array.blit c !i out !k (nc - !i);
+  k := !k + nc - !i;
+  Array.blit d !j out !k (nd - !j);
+  k := !k + nd - !j;
+  if !k = nc + nd then out else Array.sub out 0 !k
+
 let resolve c d ~pivot =
-  let pos = Lit.of_var pivot and neg = Lit.neg (Lit.of_var pivot) in
+  let pos = Lit.of_var pivot in
   if not (mem pos c) then invalid_arg "Clause.resolve: positive pivot not in first clause";
-  if not (mem neg d) then invalid_arg "Clause.resolve: negative pivot not in second clause";
-  let keep arr skip = Array.to_list (Array.of_seq (Seq.filter (fun l -> l <> skip) (Array.to_seq arr))) in
-  of_list (keep c pos @ keep d neg)
+  if not (mem (Lit.neg pos) d) then
+    invalid_arg "Clause.resolve: negative pivot not in second clause";
+  merge c d (ref pivot)
+
+let resolve_on c d ~pivot =
+  let pos = Lit.of_var pivot in
+  if mem pos c && mem (Lit.neg pos) d then merge c d (ref pivot) else resolve d c ~pivot
+
+let resolve_clash c d =
+  let pivot = ref (-1) in
+  let r = merge c d pivot in
+  if !pivot < 0 then None else Some (r, !pivot)
 
 let resolve_any ~c ~d =
-  let clashes =
-    Array.to_list c
-    |> List.filter_map (fun l -> if mem (Lit.neg l) d then Some (Lit.var l) else None)
-  in
-  match clashes with
-  | [ v ] -> if mem (Lit.of_var v) c then resolve c d ~pivot:v else resolve d c ~pivot:v
-  | [] -> invalid_arg "Clause.resolve_any: no clashing variable"
-  | _ -> invalid_arg "Clause.resolve_any: more than one clashing variable"
+  match resolve_clash c d with
+  | Some (r, _) -> r
+  | None -> invalid_arg "Clause.resolve_any: no clashing variable"
+  | exception Invalid_argument _ ->
+    invalid_arg "Clause.resolve_any: more than one clashing variable"
 
 let max_var c = Array.fold_left (fun acc l -> max acc (Lit.var l)) (-1) c
 

@@ -41,10 +41,25 @@ val subsumes : t -> t -> bool
 
 (** [resolve c d ~pivot] is the resolvent of [c] (containing the
     positive literal of variable [pivot]) and [d] (containing the
-    negative literal): the union minus both pivot literals.
+    negative literal): the union minus both pivot literals, computed
+    in one merge of the two sorted literal arrays.
     @raise Invalid_argument if the pivot literals are not present as
-    stated, or if the resolvent would be a tautology. *)
+    stated, or if the resolvent would be a tautology (a second
+    variable clashes). *)
 val resolve : t -> t -> pivot:int -> t
+
+(** [resolve_on c d ~pivot] resolves on [pivot] in whichever
+    orientation the two clauses hold it: [resolve c d] when [c] has the
+    positive literal and [d] the negative one, else [resolve d c] (whose
+    messages it raises). *)
+val resolve_on : t -> t -> pivot:int -> t
+
+(** [resolve_clash c d] resolves on the variable the two clauses clash
+    on, found in the same single merge, and returns it with the
+    resolvent; [None] when no variable clashes.
+    @raise Invalid_argument when a second variable clashes (the
+    resolvent would be a tautology). *)
+val resolve_clash : t -> t -> (t * int) option
 
 (** [resolve_any c d] resolves on the unique clashing variable.
     @raise Invalid_argument if there is no clash or more than one. *)

@@ -1,5 +1,4 @@
 module Clause = Cnf.Clause
-module Lit = Aig.Lit
 module R = Resolution
 
 let magic = "CECB"
@@ -22,44 +21,6 @@ type shard = {
   byte_stop : int;
   exports : (int * Clause.t) array;
 }
-
-(* One step of trivial resolution with the pivot re-derived instead of
-   stored: a non-tautological resolvent exists only when exactly one
-   variable clashes between the operands, so the format omits pivots
-   entirely (they are about half of every chain's bytes) and readers
-   recover them here.  Returns [None] when nothing clashes; picking the
-   first clash is safe because a second one would make any resolvent a
-   tautology, which [Clause.resolve] rejects.  The orientation mirrors
-   [Resolution.recompute_chain]. *)
-let resolve_step acc c =
-  let pivot = ref (-1) in
-  (try
-     Clause.iter
-       (fun l ->
-         if Clause.mem (Lit.neg l) c then begin
-           pivot := Lit.var l;
-           raise Exit
-         end)
-       acc
-   with Exit -> ());
-  if !pivot < 0 then None
-  else
-    let pivot = !pivot in
-    let pos = Lit.of_var pivot in
-    let resolvent =
-      if Clause.mem pos acc && Clause.mem (Lit.neg pos) c then Clause.resolve acc c ~pivot
-      else Clause.resolve c acc ~pivot
-    in
-    Some (resolvent, pivot)
-
-(* One hinted step: resolve on the stored pivot, no search.  A wrong
-   hint either names a variable absent from an operand or yields a
-   tautology; [Clause.resolve] raises [Invalid_argument] on both, so a
-   corrupted hint can never produce an accepted-but-different clause. *)
-let resolve_hinted acc c ~pivot =
-  let pos = Lit.of_var pivot in
-  if Clause.mem pos acc && Clause.mem (Lit.neg pos) c then Clause.resolve acc c ~pivot
-  else Clause.resolve c acc ~pivot
 
 (* --- varints --- *)
 
@@ -477,7 +438,7 @@ let decode data =
             if Array.length hints > 0 then begin
               (* Hinted chain: follow the stored pivot, no search. *)
               let pivot = hints.(i - 1) in
-              match resolve_hinted !acc (R.clause_of dst antecedents.(i)) ~pivot with
+              match Clause.resolve_on !acc (R.clause_of dst antecedents.(i)) ~pivot with
               | resolvent ->
                 pivots.(i - 1) <- pivot;
                 acc := resolvent
@@ -485,7 +446,7 @@ let decode data =
                 corrupt (offset r) "invalid hinted resolution step: %s" msg
             end
             else
-              match resolve_step !acc (R.clause_of dst antecedents.(i)) with
+              match Clause.resolve_clash !acc (R.clause_of dst antecedents.(i)) with
               | None -> corrupt (offset r) "no clashing variable in resolution step"
               | Some (resolvent, pivot) ->
                 pivots.(i - 1) <- pivot;

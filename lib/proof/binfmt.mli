@@ -37,10 +37,11 @@
     gap-coded.  Version-1 chains store {e no result clause and no
     pivots}: a non-tautological resolvent exists only when exactly one
     variable clashes between the operands, so readers re-derive each
-    pivot ({!resolve_step}) and recompute each result by resolution.
+    pivot ({!Cnf.Clause.resolve_clash}) and recompute each result by
+    resolution.
     Version-2 (hinted, LRAT/GRIT-style) chains additionally spell the
     pivot sequence out, so a checker follows the hints with {e zero
-    search} ({!resolve_hinted}); a corrupted hint either names a
+    search} ({!Cnf.Clause.resolve_on}); a corrupted hint either names a
     non-clashing variable or yields a tautology, so it can never
     produce an accepted-but-wrong clause.
 
@@ -133,20 +134,6 @@ type shard = {
   byte_stop : int;
   exports : (int * Cnf.Clause.t) array;
 }
-
-(** [resolve_step acc c] re-derives one trivial-resolution step: finds
-    the clashing variable between [acc] and [c], resolves on it
-    (oriented like {!Resolution.recompute_chain}) and returns the
-    resolvent with the pivot.  [None] when no variable clashes.
-    @raise Invalid_argument when the resolvent is a tautology (two or
-    more clashing variables). *)
-val resolve_step : Cnf.Clause.t -> Cnf.Clause.t -> (Cnf.Clause.t * int) option
-
-(** [resolve_hinted acc c ~pivot] performs one step on the stored
-    pivot, with no search (oriented like {!Resolution.recompute_chain}).
-    @raise Invalid_argument when [pivot] does not clash between the
-    operands or the resolvent is a tautology. *)
-val resolve_hinted : Cnf.Clause.t -> Cnf.Clause.t -> pivot:int -> Cnf.Clause.t
 
 type reader
 

@@ -137,7 +137,7 @@ let check_shard ?formula base shards exports idx =
             let acc = ref (clause_of antecedents.(0)) in
             for i = 1 to Array.length antecedents - 1 do
               let pivot = pivots.(i - 1) in
-              (match Binfmt.resolve_hinted !acc (clause_of antecedents.(i)) ~pivot with
+              (match Clause.resolve_on !acc (clause_of antecedents.(i)) ~pivot with
               | resolvent -> acc := resolvent
               | exception Invalid_argument msg ->
                 reject ?chain at "hinted resolution step %d on variable %d failed: %s" i pivot msg);

@@ -44,7 +44,7 @@ let lift_chain proof lifted id antecedents pivots =
         let c_has_pos = Clause.mem pos c and c_has_neg = Clause.mem neg c in
         if (acc_has_pos && c_has_neg) || (acc_has_neg && c_has_pos) then begin
           let resolvent =
-            try if acc_has_pos then Clause.resolve acc c ~pivot else Clause.resolve c acc ~pivot
+            try Clause.resolve_on acc c ~pivot
             with Invalid_argument msg -> fail "chain %d: lifted replay failed: %s" id msg
           in
           state := Some (base, (pivot, aid) :: steps, resolvent)

@@ -142,15 +142,7 @@ let import_mapped dst src ~root ~map_lit ~map_leaf =
 let recompute_chain t ~antecedents ~pivots =
   let acc = ref (clause_of t antecedents.(0)) in
   Array.iteri
-    (fun i pivot ->
-      let c = clause_of t antecedents.(i + 1) in
-      let pos = Aig.Lit.of_var pivot in
-      let acc' =
-        if Clause.mem pos !acc && Clause.mem (Aig.Lit.neg pos) c then
-          Clause.resolve !acc c ~pivot
-        else Clause.resolve c !acc ~pivot
-      in
-      acc := acc')
+    (fun i pivot -> acc := Clause.resolve_on !acc (clause_of t antecedents.(i + 1)) ~pivot)
     pivots;
   !acc
 

@@ -76,7 +76,7 @@ val import_mapped :
   map_leaf:(id -> Cnf.Clause.t -> id) ->
   id
 
-(** Recompute the result of a chain with {!Cnf.Clause.resolve},
+(** Recompute the result of a chain with {!Cnf.Clause.resolve_on},
     ignoring the stored clause.  Raises [Invalid_argument] when a pivot
     is not actually clashing.  Exposed for the checker and tests. *)
 val recompute_chain : t -> antecedents:id array -> pivots:int array -> Cnf.Clause.t

@@ -103,7 +103,7 @@ let check ?formula data =
           let acc = ref (clause_of ~chain at antecedents.(0)) in
           for i = 1 to Array.length antecedents - 1 do
             foreign antecedents.(i);
-            match Binfmt.resolve_step !acc (clause_of ~chain at antecedents.(i)) with
+            match Clause.resolve_clash !acc (clause_of ~chain at antecedents.(i)) with
             | None -> reject ?chain at "no clashing variable in resolution step"
             | Some (resolvent, pivot) ->
               (* Hinted chains also search here, then cross-check: the

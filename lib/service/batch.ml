@@ -78,13 +78,10 @@ let run ?(clock = Unix.gettimeofday) ~store ~engine ?timeout_ms ?(on_result = fu
           let bits cexa =
             String.init (Array.length cexa) (fun i -> if cexa.(i) then '1' else '0')
           in
-          match Store.find store key ~golden:a ~revised:b with
-          | Some (Cec.Equivalent _) -> finish_pair golden_path revised_path started "equivalent" true ""
-          | Some (Cec.Inequivalent cexa) ->
+          match Store.lookup store key ~golden:a ~revised:b with
+          | Some Store.Equivalent -> finish_pair golden_path revised_path started "equivalent" true ""
+          | Some (Store.Inequivalent cexa) ->
             finish_pair golden_path revised_path started "inequivalent" true (bits cexa)
-          | Some Cec.Undecided ->
-            (* Not storable, hence not loadable; kept for exhaustiveness. *)
-            finish_pair golden_path revised_path started "undecided" true ""
           | None -> (
             match Engine.solve ~clock ?deadline engine a b with
             | exception Invalid_argument msg ->

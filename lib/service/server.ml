@@ -112,19 +112,27 @@ let load_netlist path =
     Error (Printf.sprintf "%s: %s" path msg)
   | Sys_error msg -> Error msg
 
+(* A reply carries a verdict's kind and witness, never its
+   certificate, so a store hit (which skips the decode) and a solve
+   share one shape: [None] is undecided. *)
+let hit_of_verdict = function
+  | Cec.Equivalent _ -> Some Store.Equivalent
+  | Cec.Inequivalent cex -> Some (Store.Inequivalent cex)
+  | Cec.Undecided -> None
+
 let status_of_verdict ?degraded ~timed_out verdict =
   match (degraded, verdict) with
-  | Some _, Cec.Undecided -> "uncertified"
-  | _, Cec.Equivalent _ -> "equivalent"
-  | _, Cec.Inequivalent _ -> "inequivalent"
-  | _, Cec.Undecided -> if timed_out then "timeout" else "undecided"
+  | Some _, None -> "uncertified"
+  | _, Some Store.Equivalent -> "equivalent"
+  | _, Some (Store.Inequivalent _) -> "inequivalent"
+  | _, None -> if timed_out then "timeout" else "undecided"
 
 let outcome_of_verdict ?degraded ~timed_out verdict =
   match (degraded, verdict) with
-  | Some _, Cec.Undecided -> Metrics.Uncertified
-  | _, Cec.Equivalent _ -> Metrics.Proved
-  | _, Cec.Inequivalent _ -> Metrics.Counterexample
-  | _, Cec.Undecided -> if timed_out then Metrics.Timeout else Metrics.Undecided
+  | Some _, None -> Metrics.Uncertified
+  | _, Some Store.Equivalent -> Metrics.Proved
+  | _, Some (Store.Inequivalent _) -> Metrics.Counterexample
+  | _, None -> if timed_out then Metrics.Timeout else Metrics.Undecided
 
 let check_response ?degraded ~key ~cached ~ms ~conflicts ~timed_out verdict =
   let base =
@@ -138,16 +146,16 @@ let check_response ?degraded ~key ~cached ~ms ~conflicts ~timed_out verdict =
   in
   let extra =
     match verdict with
-    | Cec.Inequivalent cex ->
+    | Some (Store.Inequivalent cex) ->
       [
         ( "cex",
           P.String (String.init (Array.length cex) (fun i -> if cex.(i) then '1' else '0')) );
       ]
-    | Cec.Equivalent _ | Cec.Undecided -> []
+    | Some Store.Equivalent | None -> []
   in
   let reason =
     match (degraded, verdict) with
-    | Some r, Cec.Undecided -> [ ("reason", P.String r) ]
+    | Some r, None -> [ ("reason", P.String r) ]
     | _ -> []
   in
   P.to_json (base @ extra @ reason)
@@ -177,8 +185,8 @@ let process st job =
          ])
   end
   else
-    match Store.find st.store job.key ~golden:job.golden ~revised:job.revised with
-    | Some verdict ->
+    match Store.lookup st.store job.key ~golden:job.golden ~revised:job.revised with
+    | Some _ as verdict ->
       let ms = ms_since st t0 in
       Metrics.record st.metrics (outcome_of_verdict ~timed_out:false verdict) ~cached:true ~ms;
       log st "hit %s (%s, %.2fms)" (Key.to_hex job.key)
@@ -197,16 +205,16 @@ let process st job =
         let degraded = result.Engine.degraded in
         if degraded = None then Store.store st.store job.key result.Engine.verdict;
         let ms = ms_since st t0 in
+        let verdict = hit_of_verdict result.Engine.verdict in
         Metrics.record st.metrics
-          (outcome_of_verdict ?degraded ~timed_out:result.Engine.timed_out result.Engine.verdict)
+          (outcome_of_verdict ?degraded ~timed_out:result.Engine.timed_out verdict)
           ~cached:false ~ms;
         log st "solved %s (%s, %d conflicts, %.2fms)" (Key.to_hex job.key)
-          (status_of_verdict ?degraded ~timed_out:result.Engine.timed_out result.Engine.verdict)
+          (status_of_verdict ?degraded ~timed_out:result.Engine.timed_out verdict)
           result.Engine.conflicts ms;
         send job.fd
           (check_response ?degraded ~key:job.key ~cached:false ~ms
-             ~conflicts:result.Engine.conflicts ~timed_out:result.Engine.timed_out
-             result.Engine.verdict))
+             ~conflicts:result.Engine.conflicts ~timed_out:result.Engine.timed_out verdict))
 
 (* Worker supervision: a job whose [process] raises is re-enqueued
    once (any worker may pick it up); a second crash answers the client

@@ -184,11 +184,6 @@ let split_line data =
   | None -> (data, "")
   | Some i -> (String.sub data 0 i, String.sub data (i + 1) (String.length data - i - 1))
 
-(* Decode, reconstruct and (in paranoid mode) re-validate one
-   certificate file against the requesting pair.  Every failure mode —
-   I/O, version skew, parse errors, a proof that no longer checks, a
-   counterexample that no longer distinguishes — is an [Error], which
-   [find] turns into entry deletion + miss. *)
 (* Simulated bit-rot ([store.corrupt]): flip one mid-file byte before
    parsing, exercising the validation/drop/miss path on reads. *)
 let corrupt_bytes data =
@@ -200,6 +195,40 @@ let corrupt_bytes data =
     Bytes.unsafe_to_string b
   end
 
+(* One full pass of the checker that owns a binary body: the
+   search-free [Hint_check] for hinted bodies, the streaming checker
+   for un-hinted ones.  With [formula] every leaf must come from this
+   pair's miter CNF; without it the pass is structural (every chain
+   re-resolves, the root is empty). *)
+let check_body ~hinted ?formula body =
+  if hinted then
+    match Proof.Hint_check.check ?formula body with
+    | Ok _ -> Ok ()
+    | Error e -> Error (Format.asprintf "%a" Proof.Hint_check.pp_error e)
+  else
+    match Proof.Stream_check.check ?formula body with
+    | Ok _ -> Ok ()
+    | Error e -> Error (Format.asprintf "%a" Proof.Stream_check.pp_error e)
+
+let parse_trace body =
+  match Proof.Export.trace_of_string body with
+  | exception (Failure msg | Invalid_argument msg) -> Error msg
+  | parsed -> Ok parsed
+
+(* The structural check of a parsed trace: every chain re-resolves and
+   the root is the empty clause. *)
+let check_trace (proof, root) =
+  match Proof.Checker.check proof ~root () with
+  | Ok _ -> Ok ()
+  | Error e -> Error (Format.asprintf "%a" Proof.Checker.pp_error e)
+
+(* A stored verdict that passed its check.  An equivalence carries the
+   certificate rebuild as a closure, so a verdict-only read skips the
+   second resolution pass of [Binfmt.decode]. *)
+type loaded =
+  | Refuted of bool array
+  | Proved of (unit -> (Cec.certificate, string) result)
+
 let load_verdict t path ~golden ~revised =
   match read_file path with
   | exception Sys_error msg -> Error msg
@@ -210,22 +239,30 @@ let load_verdict t path ~golden ~revised =
       Error (Printf.sprintf "version/header mismatch: %S (want %S)" first header)
     else
       let verdict_line, body = split_line rest in
+      (* The pair's miter CNF, built at most once per load and only when
+         a check or a certificate needs it. *)
+      let formula = lazy (Cnf.Tseitin.miter_formula (Aig.Miter.build golden revised)) in
+      let with_formula f =
+        match Lazy.force formula with
+        | exception Invalid_argument msg -> Error msg
+        | formula -> f formula
+      in
       (* Version-1 objects say bare "equivalent" and always carry an
          ASCII trace; later versions name their body format. *)
       let equivalent_trace () =
-        match Proof.Export.trace_of_string body with
-        | exception Failure msg -> Error msg
-        | exception Invalid_argument msg -> Error msg
-        | proof, root -> (
-          match Cnf.Tseitin.miter_formula (Aig.Miter.build golden revised) with
-          | exception Invalid_argument msg -> Error msg
-          | formula -> (
-            let cert = { Cec.proof; root; formula; boundaries = [||] } in
-            if not t.paranoid then Ok (Cec.Equivalent cert)
-            else
-              match Certify.validate_against cert golden revised with
-              | Ok _ -> Ok (Cec.Equivalent cert)
-              | Error e -> Error (Format.asprintf "%a" Certify.pp_error e)))
+        Result.bind (parse_trace body) (fun (proof, root) ->
+            let certificate () =
+              with_formula (fun formula -> Ok { Cec.proof; root; formula; boundaries = [||] })
+            in
+            let checked =
+              if not t.paranoid then check_trace (proof, root)
+              else
+                Result.bind (certificate ()) (fun cert ->
+                    match Certify.validate_against cert golden revised with
+                    | Ok _ -> Ok ()
+                    | Error e -> Error (Format.asprintf "%a" Certify.pp_error e))
+            in
+            Result.map (fun () -> Proved certificate) checked)
       in
       (* The decoded proof's node ids equal stream positions, so the
          shard table maps straight back to section boundaries — a
@@ -242,33 +279,20 @@ let load_verdict t path ~golden ~revised =
           |> Array.of_list
       in
       let equivalent_bin ~hinted () =
-        match Cnf.Tseitin.miter_formula (Aig.Miter.build golden revised) with
-        | exception Invalid_argument msg -> Error msg
-        | formula -> (
-          let checked =
-            if not t.paranoid then Ok ()
-            else if hinted then
-              (* Hinted bodies re-validate search-free: the checker
-                 follows each chain's stored pivots and enforces the
-                 shard/export discipline. *)
-              match Proof.Hint_check.check ~formula body with
-              | Ok _ -> Ok ()
-              | Error e -> Error (Format.asprintf "%a" Proof.Hint_check.pp_error e)
-            else
-              (* The streaming checker plays the [Certify] role for
-                 binary bodies: leaves must come from this pair's miter
-                 CNF, every chain re-resolves, the root is empty. *)
-              match Proof.Stream_check.check ~formula body with
-              | Ok _ -> Ok ()
-              | Error e -> Error (Format.asprintf "%a" Proof.Stream_check.pp_error e)
-          in
-          match checked with
-          | Error msg -> Error msg
-          | Ok () -> (
-            match Proof.Binfmt.decode body with
-            | exception Failure msg -> Error msg
-            | proof, root ->
-              Ok (Cec.Equivalent { Cec.proof; root; formula; boundaries = boundaries_of_body () })))
+        let checked =
+          if t.paranoid then with_formula (fun formula -> check_body ~hinted ~formula body)
+          else check_body ~hinted body
+        in
+        Result.map
+          (fun () ->
+            Proved
+              (fun () ->
+                with_formula (fun formula ->
+                    match Proof.Binfmt.decode body with
+                    | exception Failure msg -> Error msg
+                    | proof, root ->
+                      Ok { Cec.proof; root; formula; boundaries = boundaries_of_body () })))
+          checked
       in
       match String.split_on_char ' ' verdict_line with
       | [ "equivalent" ] | [ "equivalent"; "trace" ] -> equivalent_trace ()
@@ -285,10 +309,10 @@ let load_verdict t path ~golden ~revised =
             match Aig.Miter.build golden revised with
             | exception Invalid_argument msg -> Error msg
             | miter ->
-              if (Aig.eval miter cex).(0) then Ok (Cec.Inequivalent cex)
+              if (Aig.eval miter cex).(0) then Ok (Refuted cex)
               else Error "stored counterexample does not distinguish the pair"
           end
-          else Ok (Cec.Inequivalent cex)
+          else Ok (Refuted cex)
         end
       | _ -> Error (Printf.sprintf "malformed verdict line %S" verdict_line))
 
@@ -331,28 +355,18 @@ let is_tmp_name name =
 
 (* Structural validation of one object's bytes — no pair in hand, so
    this checks everything checkable without a miter CNF: header and
-   verdict-line shape, trace parsability, and for binary bodies a full
-   [Stream_check] pass (every chain re-resolves, root empty) minus the
-   leaf-origin check that needs the formula. *)
+   verdict-line shape, and for every proof body a full pass of its
+   checker (every chain re-resolves, root empty) minus the leaf-origin
+   check that needs the formula. *)
 let validate_object data =
   let first, rest = split_line data in
   if not (known_header first) then Error (Printf.sprintf "header mismatch: %S" first)
   else
     let verdict_line, body = split_line rest in
     match String.split_on_char ' ' verdict_line with
-    | [ "equivalent" ] | [ "equivalent"; "trace" ] -> (
-      match Proof.Export.trace_of_string body with
-      | exception Failure msg -> Error msg
-      | exception Invalid_argument msg -> Error msg
-      | _ -> Ok ())
-    | [ "equivalent"; "bin" ] -> (
-      match Proof.Stream_check.check body with
-      | Ok _ -> Ok ()
-      | Error e -> Error (Format.asprintf "%a" Proof.Stream_check.pp_error e))
-    | [ "equivalent"; "bin3" ] -> (
-      match Proof.Hint_check.check body with
-      | Ok _ -> Ok ()
-      | Error e -> Error (Format.asprintf "%a" Proof.Hint_check.pp_error e))
+    | [ "equivalent" ] | [ "equivalent"; "trace" ] -> Result.bind (parse_trace body) check_trace
+    | [ "equivalent"; "bin" ] -> check_body ~hinted:false body
+    | [ "equivalent"; "bin3" ] -> check_body ~hinted:true body
     | [ "inequivalent"; bits ] ->
       if bits <> "" && String.for_all (fun c -> c = '0' || c = '1') bits then Ok ()
       else Error "malformed counterexample bits"
@@ -477,26 +491,42 @@ let create ?capacity_bytes ?(paranoid = true) ?(cert_format = Bin3) ?(startup_fs
   if startup_fsck then ignore (fsck_locked t);
   t
 
+type hit = Equivalent | Inequivalent of bool array
+
+(* Shared by both lookups: [use] turns a checked object into the
+   caller's answer, and anything it rejects counts as corrupt too.  A
+   hit moves the entry's LRU stamp in memory only; the next index
+   write (store, drop, fsck, flush) persists it. *)
+let find_locked t key ~golden ~revised ~use =
+  let hex = Key.to_hex key in
+  match Hashtbl.find_opt t.table hex with
+  | None ->
+    t.misses <- t.misses + 1;
+    None
+  | Some e -> (
+    match Result.bind (load_verdict t (object_path t hex) ~golden ~revised) use with
+    | Ok answer ->
+      t.hits <- t.hits + 1;
+      touch t e;
+      Some answer
+    | Error _ ->
+      t.corrupt <- t.corrupt + 1;
+      t.misses <- t.misses + 1;
+      drop_entry t hex e;
+      save_index t;
+      None)
+
+let lookup t key ~golden ~revised =
+  with_lock t (fun () ->
+      find_locked t key ~golden ~revised ~use:(function
+        | Refuted cex -> Ok (Inequivalent cex)
+        | Proved _ -> Ok Equivalent))
+
 let find t key ~golden ~revised =
   with_lock t (fun () ->
-      let hex = Key.to_hex key in
-      match Hashtbl.find_opt t.table hex with
-      | None ->
-        t.misses <- t.misses + 1;
-        None
-      | Some e -> (
-        match load_verdict t (object_path t hex) ~golden ~revised with
-        | Ok verdict ->
-          t.hits <- t.hits + 1;
-          touch t e;
-          save_index t;
-          Some verdict
-        | Error _ ->
-          t.corrupt <- t.corrupt + 1;
-          t.misses <- t.misses + 1;
-          drop_entry t hex e;
-          save_index t;
-          None))
+      find_locked t key ~golden ~revised ~use:(function
+        | Refuted cex -> Ok (Cec.Inequivalent cex)
+        | Proved certificate -> Result.map (fun c -> Cec.Equivalent c) (certificate ())))
 
 let evict_lru t =
   let victim =

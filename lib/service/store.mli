@@ -45,7 +45,10 @@
 
     When a byte capacity is configured, each insertion is followed by
     an eviction pass dropping least-recently-used entries (access
-    order, persisted via the index stamps) until the store fits.
+    order, persisted via the index stamps) until the store fits.  A
+    hit updates its stamp in memory; the stamp reaches the index at
+    the next index write or {!flush}, so a crash can leave the
+    persisted access order stale, never a verdict wrong.
 
     {2 Paranoid mode}
 
@@ -59,8 +62,10 @@
     miter CNF — and a loaded counterexample is replayed through the
     miter.
     Anything that fails is deleted and reported as a miss, so the
-    caller falls back to solving.  Disabling paranoia serves entries
-    unchecked (fast path for trusted local stores).
+    caller falls back to solving.  Disabling paranoia skips the
+    pair-specific checks (fast path for trusted local stores) but keeps
+    the structural pass {!fsck} runs over every proof body, so a torn
+    object is still a miss.
 
     All operations are serialized by an internal mutex and safe to call
     from multiple domains. *)
@@ -116,19 +121,34 @@ val entry_path : t -> Key.t -> string
 (** Index membership (no file access, no validation). *)
 val mem : t -> Key.t -> bool
 
-(** [find t key ~golden ~revised] loads, reconstructs and (in paranoid
-    mode) re-validates the stored verdict for [key].  [golden] and
-    [revised] must be the normalized pair the key was derived from:
-    they rebuild the miter CNF an equivalent certificate refutes.
-    Returns [None] — after deleting the entry — when the entry is
-    absent, unparsable, version-mismatched, or fails validation. *)
+(** What a hit answers without its certificate. *)
+type hit = Equivalent | Inequivalent of bool array
+
+(** [lookup t key ~golden ~revised] is the verdict-only read that
+    serves [check] requests.  It loads the stored verdict for [key] and
+    runs the same check as {!find} — in paranoid mode the body's own
+    checker against the pair's miter CNF, otherwise one structural
+    pass — but it never rebuilds the proof DAG.  [golden] and [revised] must be the
+    normalized pair the key was derived from.  Returns [None] — after
+    deleting the entry — when the entry is absent, unparsable,
+    version-mismatched, or fails its check.  A hit moves the entry's
+    LRU stamp in memory only; see {!flush}. *)
+val lookup : t -> Key.t -> golden:Aig.t -> revised:Aig.t -> hit option
+
+(** [find t key ~golden ~revised] is {!lookup} plus the certificate:
+    on an equivalent hit it also decodes the checked body into a
+    resolution DAG ({!Proof.Binfmt.decode}, or the parsed trace for
+    legacy bodies), for callers that re-check or re-encode it. *)
 val find : t -> Key.t -> golden:Aig.t -> revised:Aig.t -> Cec_core.Cec.verdict option
 
 (** Persist a verdict (atomically); undecided verdicts are ignored.
     Runs the eviction pass when a capacity is configured. *)
 val store : t -> Key.t -> Cec_core.Cec.verdict -> unit
 
-(** Persist the index now (also done on every mutation). *)
+(** Persist the index now.  Stores, drops, evictions and {!fsck}
+    write the index too; hits do not, so the LRU stamps they move
+    reach disk at the next of those writes or here.  [serve] and
+    [batch] flush on exit. *)
 val flush : t -> unit
 
 val stats : t -> stats
@@ -147,11 +167,12 @@ val pp_stats : Format.formatter -> stats -> unit
     [DIR/quarantine] (never deleted — evidence survives for forensics;
     deletion is the fallback only if the move itself fails), valid
     objects missing from the index are re-adopted so warm hits keep
-    serving, and index entries without an object are dropped.  Binary
-    bodies are re-validated with the streaming checker
-    ({!Proof.Stream_check}, structural mode — the pair-specific leaf
-    check still happens at {!find} time in paranoid mode).  Runs by
-    default when a store is opened. *)
+    serving, and index entries without an object are dropped.  Proof
+    bodies are re-validated by their own checker in structural mode
+    ({!Proof.Hint_check} for [bin3], {!Proof.Stream_check} for [bin],
+    {!Proof.Checker} for traces: every chain re-resolves and the root
+    is empty; the pair-specific leaf check still happens at read time
+    in paranoid mode).  Runs by default when a store is opened. *)
 
 type fsck_report = {
   scanned : int;  (** object files examined *)

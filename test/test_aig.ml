@@ -264,7 +264,11 @@ let test_aiger_errors () =
   (* fanin used before definition *)
   expect_error "aag 1 1 0 1 0\n2\n-3\n";
   (* negative literal *)
-  expect_error "aag -1 0 0 0 0\n" (* negative header count *)
+  expect_error "aag -1 0 0 0 0\n";
+  (* negative header count *)
+  expect_error "aig 0 0 0 -1 0\n";
+  (* negative binary output count *)
+  expect_error "aig -5 -5 0 0 0\n" (* negative binary counts, M = I + A *)
 
 (* The header's M bounds variable indices but sizes nothing: a huge M
    over an empty body is an empty graph, and index gaps (M above

@@ -99,6 +99,103 @@ let prop_resolve_soundness =
            done;
            !ok))
 
+(* The merge kernel against a sort-based reference kept here: the
+   union of both literal lists minus the pivot's two literals, sorted
+   with [List.sort_uniq], with the kernel's messages on failure. *)
+let tautology_msg = "Clause: tautology (both polarities of a variable)"
+
+let reference_resolve c d ~pivot =
+  let pos = Lit.of_var pivot in
+  let c = Clause.to_list c and d = Clause.to_list d in
+  if not (List.mem pos c) then Error "Clause.resolve: positive pivot not in first clause"
+  else if not (List.mem (Lit.neg pos) d) then
+    Error "Clause.resolve: negative pivot not in second clause"
+  else
+    let lits =
+      List.sort_uniq compare
+        (List.filter (fun l -> Lit.var l <> pivot) c @ List.filter (fun l -> Lit.var l <> pivot) d)
+    in
+    if List.exists (fun l -> List.mem (Lit.neg l) lits) lits then Error tautology_msg else Ok lits
+
+let reference_resolve_on c d ~pivot =
+  let pos = Lit.of_var pivot in
+  if Clause.mem pos c && Clause.mem (Lit.neg pos) d then reference_resolve c d ~pivot
+  else reference_resolve d c ~pivot
+
+let reference_clashes c d =
+  List.filter_map
+    (fun l -> if Clause.mem (Lit.neg l) d then Some (Lit.var l) else None)
+    (Clause.to_list c)
+
+let reference_resolve_clash c d =
+  match reference_clashes c d with
+  | [] -> Ok None
+  | [ v ] -> Result.map (fun r -> Some (r, v)) (reference_resolve_on c d ~pivot:v)
+  | _ -> Error tautology_msg
+
+let outcome f = match f () with r -> Ok r | exception Invalid_argument msg -> Error msg
+
+(* Random pairs over a few variables: the pivot is planted in either
+   orientation, or left to chance (possibly a variable neither clause
+   mentions), so clashes, shared literals and tiny clauses are common. *)
+let gen_kernel_case =
+  let open QCheck.Gen in
+  int_range 1 6 >>= fun nvars ->
+  let clause =
+    map
+      (List.mapi (fun v pick ->
+           match pick with 1 -> [ Lit.of_var v ] | 2 -> [ Lit.neg (Lit.of_var v) ] | _ -> []))
+      (list_repeat nvars (frequency [ (2, return 0); (1, return 1); (1, return 2) ]))
+  in
+  map2
+    (fun (c, d) (pivot, plant) ->
+      let drop = List.filter (fun l -> Lit.var l <> pivot) in
+      let c, d = (List.concat c, List.concat d) in
+      let c, d =
+        match plant with
+        | 1 -> (Lit.of_var pivot :: drop c, Lit.neg (Lit.of_var pivot) :: drop d)
+        | 2 -> (Lit.neg (Lit.of_var pivot) :: drop c, Lit.of_var pivot :: drop d)
+        | _ -> (c, d)
+      in
+      (Clause.of_list c, Clause.of_list d, pivot))
+    (pair clause clause)
+    (pair (int_bound nvars) (frequency [ (1, return 0); (2, return 1); (1, return 2) ]))
+
+let test_kernel_matches_reference () =
+  let seen = Hashtbl.create 8 in
+  let note what = Hashtbl.replace seen what () in
+  let print (c, d, pivot) = Format.asprintf "%a %a pivot %d" Clause.pp c Clause.pp d pivot in
+  let lists = Result.map Clause.to_list in
+  let prop (c, d, pivot) =
+    let expected = reference_resolve c d ~pivot in
+    (match expected with
+    | Error msg when msg = tautology_msg -> note "second clash"
+    | Error _ -> note "missing pivot"
+    | Ok [] -> note "empty resolvent"
+    | Ok _ ->
+      if List.exists (fun l -> Clause.mem l d) (Clause.to_list c) then note "shared literals");
+    let clash =
+      outcome (fun () -> Clause.resolve_clash c d)
+      |> Result.map (Option.map (fun (r, v) -> (Clause.to_list r, v)))
+    in
+    let any =
+      match reference_resolve_clash c d with
+      | Ok (Some (r, _)) -> Ok r
+      | Ok None -> Error "Clause.resolve_any: no clashing variable"
+      | Error _ -> Error "Clause.resolve_any: more than one clashing variable"
+    in
+    lists (outcome (fun () -> Clause.resolve c d ~pivot)) = expected
+    && lists (outcome (fun () -> Clause.resolve_on c d ~pivot)) = reference_resolve_on c d ~pivot
+    && clash = reference_resolve_clash c d
+    && lists (outcome (fun () -> Clause.resolve_any ~c ~d)) = any
+  in
+  QCheck.Test.check_exn ~rand:(Random.State.make [| 0x5eed |])
+    (QCheck.Test.make ~name:"merge kernel = reference" ~count:3000
+       (QCheck.make ~print gen_kernel_case) prop);
+  List.iter
+    (fun what -> Alcotest.(check bool) ("covers " ^ what) true (Hashtbl.mem seen what))
+    [ "missing pivot"; "second clash"; "shared literals"; "empty resolvent" ]
+
 (* --- Formula --- *)
 
 let test_formula_basics () =
@@ -245,6 +342,8 @@ let suites =
         Alcotest.test_case "subsumption" `Quick test_clause_subsumes;
         Alcotest.test_case "satisfied_by" `Quick test_clause_satisfied_by;
         prop_resolve_soundness;
+        Alcotest.test_case "merge kernel matches a sort-based reference" `Quick
+          test_kernel_matches_reference;
         Alcotest.test_case "formula basics" `Quick test_formula_basics;
         Alcotest.test_case "formula copy" `Quick test_formula_copy_independent;
         prop_tseitin_models_are_simulations;

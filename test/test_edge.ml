@@ -219,9 +219,10 @@ let test_cut_parameter_validation () =
 
 (* --- hostile AIGER through the CLI --- *)
 
-(* A header M far beyond the body and a latch literal above M: every
-   subcommand reading them must answer with one of its own exit codes
-   (0-4), never an escaped exception (cmdliner's 125). *)
+(* A header M far beyond the body, a latch literal above M and
+   negative binary header counts: every subcommand reading them must
+   answer with one of its own exit codes (0-4), never an escaped
+   exception (cmdliner's 125). *)
 let test_cli_hostile_aiger () =
   let tool = Filename.concat (Filename.dirname Sys.executable_name) "../bin/cec_tool.exe" in
   let write text =
@@ -231,6 +232,8 @@ let test_cli_hostile_aiger () =
   in
   let huge = write "aag 99999999999 0 0 0 0\n" in
   let latch = write "aag 1 0 1 0 0\n100 0\n" in
+  let negative_outputs = write "aig 0 0 0 -1 0\n" in
+  let negative_counts = write "aig -5 -5 0 0 0\n" in
   let exit_code args =
     let null = Unix.openfile Filename.null [ Unix.O_WRONLY ] 0 in
     let pid =
@@ -243,7 +246,7 @@ let test_cli_hostile_aiger () =
     | _ -> Alcotest.failf "cec_tool %s died on a signal" (String.concat " " args)
   in
   Fun.protect
-    ~finally:(fun () -> List.iter Sys.remove [ huge; latch ])
+    ~finally:(fun () -> List.iter Sys.remove [ huge; latch; negative_outputs; negative_counts ])
     (fun () ->
       List.iter
         (fun args ->
@@ -255,6 +258,10 @@ let test_cli_hostile_aiger () =
           [ "bmc"; huge ];
           [ "bounded"; latch; latch ];
           [ "bmc"; latch ];
+          [ "stats"; negative_outputs ];
+          [ "cec"; negative_outputs; negative_outputs ];
+          [ "stats"; negative_counts ];
+          [ "cec"; negative_counts; negative_counts ];
         ])
 
 let suites =

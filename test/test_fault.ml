@@ -198,7 +198,8 @@ let test_store_write_fault_tolerated () =
       Fault.with_spec (Fault.always "store.write") (fun () -> Store.store store key verdict);
       Alcotest.(check int) "write failure counted" 1 (Store.stats store).Store.write_failures;
       Alcotest.(check bool) "miss, not a crash" true
-        (Store.find store key ~golden ~revised = None);
+        (Store.lookup store key ~golden ~revised = None
+        && Store.find store key ~golden ~revised = None);
       (* The failed write left an orphan tmp file behind; fsck sweeps it
          into quarantine. *)
       let orphans =
@@ -244,9 +245,12 @@ let test_store_torn_write_quarantined_on_restart () =
       Alcotest.(check int) "no orphan tmp" 0 report.Store.orphan_tmp;
       Alcotest.(check int) "quarantine holds it" 1 (quarantine_count reopened);
       Alcotest.(check bool) "good entry still serves warm" true
+        (Store.lookup reopened key ~golden ~revised <> None);
+      Alcotest.(check bool) "good entry still decodes" true
         (Store.find reopened key ~golden ~revised <> None);
       Alcotest.(check bool) "torn entry is a miss" true
-        (Store.find reopened key2 ~golden:ig ~revised:ir = None);
+        (Store.lookup reopened key2 ~golden:ig ~revised:ir = None
+        && Store.find reopened key2 ~golden:ig ~revised:ir = None);
       (* A second fsck finds a consistent store: nothing left to do. *)
       let again = Store.fsck reopened in
       Alcotest.(check int) "idempotent: nothing quarantined" 0 again.Store.quarantined;
@@ -285,23 +289,37 @@ let test_store_fsck_drops_dangling_index_entries () =
         (Store.find store key ~golden ~revised = None))
 
 let test_store_corrupt_read_fault () =
-  with_temp_dir "fault-store-corrupt" (fun dir ->
-      let golden, revised, key, verdict = solved_pair_and_key () in
-      let store = Store.create ~dir () in
-      Store.store store key verdict;
-      (* Bit-rot injected on the read path: paranoid validation must
-         reject the certificate, not serve it. *)
-      let under_fault =
-        Fault.with_spec (Fault.always "store.corrupt") (fun () ->
-            Store.find store key ~golden ~revised)
-      in
-      Alcotest.(check bool) "corrupted read rejected" true (under_fault = None);
-      (* Paranoid mode treats the entry as bit-rot: counted, dropped
-         from the store (the service re-solves), never served. *)
-      Alcotest.(check int) "counted as corrupt" 1 (Store.stats store).Store.corrupt;
-      Store.store store key verdict;
-      Alcotest.(check bool) "re-stored entry serves clean" true
-        (Store.find store key ~golden ~revised <> None))
+  let golden, revised, key, verdict = solved_pair_and_key () in
+  let readers =
+    [
+      ("find", fun store -> Store.find store key ~golden ~revised <> None);
+      ("lookup", fun store -> Store.lookup store key ~golden ~revised <> None);
+    ]
+  in
+  List.iter
+    (fun (format_name, cert_format) ->
+      List.iter
+        (fun (reader, hit) ->
+          with_temp_dir "fault-store-corrupt" (fun dir ->
+              let what = format_name ^ " via " ^ reader in
+              let store = Store.create ~cert_format ~dir () in
+              Store.store store key verdict;
+              (* Bit-rot injected on the read path: paranoid validation
+                 must reject the certificate, not serve it. *)
+              let under_fault =
+                Fault.with_spec (Fault.always "store.corrupt") (fun () -> hit store)
+              in
+              Alcotest.(check bool) (what ^ ": corrupted read rejected") false under_fault;
+              (* Paranoid mode treats the entry as bit-rot: counted,
+                 dropped from the store (the service re-solves), never
+                 served. *)
+              Alcotest.(check int) (what ^ ": counted as corrupt") 1
+                (Store.stats store).Store.corrupt;
+              Alcotest.(check bool) (what ^ ": entry dropped") false (Store.mem store key);
+              Store.store store key verdict;
+              Alcotest.(check bool) (what ^ ": re-stored entry serves clean") true (hit store)))
+        readers)
+    [ ("bin3", Store.Bin3); ("bin", Store.Bin); ("trace", Store.Trace) ]
 
 (* --- wire helpers --- *)
 

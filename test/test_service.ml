@@ -238,13 +238,34 @@ let test_store_persists_across_reopen () =
       | Ok _ -> ()
       | Error e -> Alcotest.failf "persisted certificate rejected: %a" Certify.pp_error e)
 
-(* Flip one byte of the stored trace: the store must reject the entry,
+(* Both store reads: the verdict-only [lookup] that serves [check]
+   requests, and [find], which also decodes the certificate. *)
+let store_readers =
+  [
+    ("find", fun store key ~golden ~revised -> Store.find store key ~golden ~revised <> None);
+    ("lookup", fun store key ~golden ~revised -> Store.lookup store key ~golden ~revised <> None);
+  ]
+
+let cert_formats = [ ("bin3", Store.Bin3); ("bin", Store.Bin); ("trace", Store.Trace) ]
+
+(* Every body format through every read, each in a fresh store. *)
+let for_each_format_and_reader f =
+  List.iter
+    (fun (format_name, cert_format) ->
+      List.iter
+        (fun (reader, hit) ->
+          with_temp_dir "cecd-store" (fun dir ->
+              f ~what:(format_name ^ " via " ^ reader) ~cert_format ~hit dir))
+        store_readers)
+    cert_formats
+
+(* Flip one byte of the stored body: the store must reject the entry,
    delete it and report a miss, so the caller re-solves. *)
 let test_store_drops_corrupt_entry () =
-  with_temp_dir "cecd-store" (fun dir ->
-      let golden, revised, verdict = equivalent_pair () in
-      let key = Key.of_pair golden revised in
-      let store = Store.create ~dir () in
+  let golden, revised, verdict = equivalent_pair () in
+  let key = Key.of_pair golden revised in
+  for_each_format_and_reader (fun ~what ~cert_format ~hit dir ->
+      let store = Store.create ~cert_format ~dir () in
       Store.store store key verdict;
       let path = Store.entry_path store key in
       let data = read_file path in
@@ -254,16 +275,101 @@ let test_store_drops_corrupt_entry () =
       in
       write_file path
         (String.mapi (fun i c -> if i = pos then 'x' else c) data);
-      Alcotest.(check bool) "corrupt entry is a miss" true
-        (Store.find store key ~golden ~revised = None);
+      Alcotest.(check bool) (what ^ ": corrupt entry is a miss") false
+        (hit store key ~golden ~revised);
       let s = Store.stats store in
-      Alcotest.(check int) "corruption counted" 1 s.Store.corrupt;
-      Alcotest.(check int) "entry deleted" 0 s.Store.entries;
-      Alcotest.(check bool) "file deleted" false (Sys.file_exists path);
+      Alcotest.(check int) (what ^ ": corruption counted") 1 s.Store.corrupt;
+      Alcotest.(check int) (what ^ ": entry deleted") 0 s.Store.entries;
+      Alcotest.(check bool) (what ^ ": file deleted") false (Sys.file_exists path);
       (* Falling back to solving and re-storing heals the entry. *)
       Store.store store key verdict;
+      Alcotest.(check bool) (what ^ ": healed") true (hit store key ~golden ~revised);
       let (_ : Cec.certificate) = find_cert store key ~golden ~revised in
       ())
+
+(* Without paranoia a read skips the pair-specific check but not the
+   structural pass that fsck also runs: a torn body is still a miss,
+   and fsck quarantines it.  The cut falls on a line boundary, so a
+   torn ASCII trace still parses and only the structural check (its
+   root is no longer the empty clause) can reject it. *)
+let test_store_trusting_read_rejects_torn_body () =
+  let golden, revised, verdict = equivalent_pair () in
+  let key = Key.of_pair golden revised in
+  let tear path =
+    let data = read_file path in
+    let cut = String.rindex_from data (2 * String.length data / 3) '\n' + 1 in
+    write_file path (String.sub data 0 cut)
+  in
+  for_each_format_and_reader (fun ~what ~cert_format ~hit dir ->
+      let store = Store.create ~paranoid:false ~cert_format ~dir () in
+      Store.store store key verdict;
+      tear (Store.entry_path store key);
+      Alcotest.(check bool) (what ^ ": torn body is a miss") false (hit store key ~golden ~revised);
+      Alcotest.(check int) (what ^ ": counted as corrupt") 1 (Store.stats store).Store.corrupt;
+      Store.store store key verdict;
+      Alcotest.(check bool) (what ^ ": whole body served") true (hit store key ~golden ~revised);
+      tear (Store.entry_path store key);
+      Alcotest.(check int) (what ^ ": fsck quarantines it") 1 (Store.fsck store).Store.quarantined)
+
+(* A hit moves its LRU stamp in memory only: the index file keeps its
+   bytes and its inode (no rewrite at all) across hits of every kind,
+   and [flush] is what persists the moved stamps. *)
+let test_store_hits_leave_index_alone () =
+  with_temp_dir "cecd-store" (fun dir ->
+      let golden, revised, verdict = equivalent_pair () in
+      let igolden, irevised, iverdict = inequivalent_pair () in
+      let key = Key.of_pair golden revised and ikey = Key.of_pair igolden irevised in
+      let store = Store.create ~dir () in
+      Store.store store key verdict;
+      Store.store store ikey iverdict;
+      let index = Filename.concat dir "index" in
+      let before = read_file index and inode = (Unix.stat index).Unix.st_ino in
+      for _ = 1 to 3 do
+        (match Store.lookup store key ~golden ~revised with
+        | Some Store.Equivalent -> ()
+        | Some (Store.Inequivalent _) | None -> Alcotest.fail "equivalent entry not served");
+        (match Store.lookup store ikey ~golden:igolden ~revised:irevised with
+        | Some (Store.Inequivalent cex) ->
+          Alcotest.(check bool) "witness still distinguishes" true
+            (Aig.eval (Aig.Miter.build igolden irevised) cex).(0)
+        | Some Store.Equivalent | None -> Alcotest.fail "inequivalent entry not served");
+        let (_ : Cec.certificate) = find_cert store key ~golden ~revised in
+        ()
+      done;
+      Alcotest.(check int) "nine hits" 9 (Store.stats store).Store.hits;
+      Alcotest.(check string) "index bytes unchanged by hits" before (read_file index);
+      Alcotest.(check int) "index not rewritten" inode (Unix.stat index).Unix.st_ino;
+      Store.flush store;
+      Alcotest.(check bool) "flush persists the moved stamps" true (read_file index <> before))
+
+(* After [flush] and a reopen, eviction follows the hits: the oldest
+   entry, read last, outlives the entries stored after it. *)
+let test_store_lru_follows_flushed_hits () =
+  with_temp_dir "cecd-store" (fun dir ->
+      let golden, revised, verdict = inequivalent_pair () in
+      let key_of i =
+        match Key.of_hex (Printf.sprintf "%032x" (0xcafe + i)) with
+        | Some k -> k
+        | None -> Alcotest.fail "bad fabricated key"
+      in
+      let entry_bytes =
+        let probe = Store.create ~dir:(Filename.concat dir "probe") () in
+        Store.store probe (key_of 0) verdict;
+        (Store.stats probe).Store.bytes
+      in
+      let main = Filename.concat dir "main" in
+      let open_store () = Store.create ~capacity_bytes:(3 * entry_bytes) ~dir:main () in
+      let store = open_store () in
+      List.iter (fun i -> Store.store store (key_of i) verdict) [ 1; 2; 3 ];
+      Alcotest.(check bool) "oldest entry hit" true
+        (Store.lookup store (key_of 1) ~golden ~revised <> None);
+      Store.flush store;
+      let reopened = open_store () in
+      Store.store reopened (key_of 4) verdict;
+      Alcotest.(check int) "one eviction" 1 (Store.stats reopened).Store.evictions;
+      Alcotest.(check bool) "hit entry survives" true (Store.mem reopened (key_of 1));
+      Alcotest.(check bool) "least recently used evicted" false (Store.mem reopened (key_of 2));
+      Alcotest.(check bool) "newer entry kept" true (Store.mem reopened (key_of 3)))
 
 (* A semantically corrupted proof (valid syntax, broken resolution)
    must be caught by paranoid re-validation. *)
@@ -780,6 +886,12 @@ let suites =
         Alcotest.test_case "legacy v1 objects still read" `Quick
           test_store_reads_legacy_v1_objects;
         Alcotest.test_case "LRU eviction under a byte cap" `Quick test_store_lru_eviction;
+        Alcotest.test_case "trusting read rejects a torn body" `Quick
+          test_store_trusting_read_rejects_torn_body;
+        Alcotest.test_case "hits leave the index file alone" `Quick
+          test_store_hits_leave_index_alone;
+        Alcotest.test_case "LRU follows hits after flush and reopen" `Quick
+          test_store_lru_follows_flushed_hits;
       ] );
     ( "service-engine",
       [
