@@ -531,8 +531,8 @@ let run_bmc path frames engine_name =
 
 let mb_to_bytes = Option.map (fun mb -> mb * 1024 * 1024)
 
-let service_engine jobs budget =
-  let base = { Service.Engine.default_config with Service.Engine.jobs } in
+let service_engine budget =
+  let base = Service.Engine.default_config in
   match budget with None -> base | Some _ -> { base with Service.Engine.budget = budget }
 
 (* [--socket PATH] is always a Unix path; [--listen ADDR] goes through
@@ -560,8 +560,8 @@ let listen_addrs socket listens =
     | [] -> Error "expected --socket PATH or --listen ADDR"
     | addrs -> Ok addrs)
 
-let run_serve socket listens store capacity_mb no_paranoid workers queue jobs budget timeout_ms
-    quiet stats_out trace_out faults =
+let run_serve socket listens store capacity_mb no_paranoid workers queue budget timeout_ms quiet
+    stats_out trace_out faults =
   with_faults faults @@ fun () ->
   match listen_addrs socket listens with
   | Error msg ->
@@ -576,7 +576,7 @@ let run_serve socket listens store capacity_mb no_paranoid workers queue jobs bu
         paranoid = not no_paranoid;
         workers;
         queue_capacity = queue;
-        engine = service_engine jobs budget;
+        engine = service_engine budget;
         default_timeout_ms = timeout_ms;
         log = not quiet;
         stats_out;
@@ -735,8 +735,8 @@ let run_fleet_admin connects connect_timeout_ms join leave drain =
       print_endline line;
       (match Service.Protocol.field "error" line with Some _ -> 2 | None -> 0))
 
-let run_batch manifest store_dir capacity_mb no_paranoid cert_format jobs budget timeout_ms
-    stats_out trace_out faults =
+let run_batch manifest store_dir capacity_mb no_paranoid cert_format budget timeout_ms stats_out
+    trace_out faults =
   with_faults faults @@ fun () ->
   match Service.Batch.parse_manifest manifest with
   | Error msg ->
@@ -757,10 +757,7 @@ let run_batch manifest store_dir capacity_mb no_paranoid cert_format jobs budget
     let reg = Obs.Registry.create () in
     let s =
       Obs.with_ambient reg (fun () ->
-          Service.Batch.run ~store
-            ~engine:(service_engine jobs budget)
-            ?timeout_ms ~on_result
-            pairs)
+          Service.Batch.run ~store ~engine:(service_engine budget) ?timeout_ms ~on_result pairs)
     in
     export_obs reg ~stats_out ~trace_out;
     Service.Store.flush store;
@@ -1084,17 +1081,14 @@ let no_paranoid_arg =
     & info [ "no-paranoid" ]
         ~doc:"Trust stored certificates without re-validating them against a rebuilt miter.")
 
-let service_jobs_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "j"; "jobs" ] ~docv:"N" ~doc:"Solver domains per request (the parallel pool size).")
-
 let service_budget_arg =
   Arg.(
     value
     & opt (some int) None
     & info [ "max-conflicts" ] ~docv:"N"
-        ~doc:"Initial per-partition conflict budget (escalated geometrically between rounds).")
+        ~doc:
+          "Initial conflict budget of a solve's first round (escalated geometrically between \
+           rounds).")
 
 let timeout_ms_arg =
   Arg.(
@@ -1119,14 +1113,16 @@ let serve_cmd =
            `S Manpage.s_description;
            `P
              "Answers line-delimited requests (see $(b,client)) from a persistent \
-              content-addressed certificate store, solving misses on the parallel engine.  \
+              content-addressed certificate store, solving each miss with one incremental \
+              sweep of the whole miter per budget-escalation round.  Requests run in parallel \
+              across $(b,--workers) domains, one request per domain.  \
               Listens on any mix of $(b,--socket) and $(b,--listen) endpoints — a TCP listen \
               makes the daemon a fleet shard behind $(b,route).  SIGINT/SIGTERM or a \
               $(b,shutdown) request drains the queue, persists the store index and exits.";
          ])
     Term.(
       const run_serve $ socket_arg $ listen_arg $ store_arg $ capacity_arg $ no_paranoid_arg
-      $ workers $ queue $ service_jobs_arg $ service_budget_arg $ timeout_ms_arg $ quiet
+      $ workers $ queue $ service_budget_arg $ timeout_ms_arg $ quiet
       $ stats_out_arg $ trace_out_arg $ faults_arg)
 
 let client_cmd =
@@ -1355,12 +1351,13 @@ let batch_cmd =
            `S Manpage.s_description;
            `P
              "Offline mode: shares the store format with $(b,serve), so a batch run warms the \
-              cache for a later daemon (and vice versa).";
+              cache for a later daemon (and vice versa).  Pairs run one after another; each \
+              miss is solved like $(b,serve) solves it, with one incremental sweep of the whole \
+              miter per budget-escalation round.";
          ])
     Term.(
       const run_batch $ manifest $ store_arg $ capacity_arg $ no_paranoid_arg $ cert_format
-      $ service_jobs_arg $ service_budget_arg $ timeout_ms_arg $ stats_out_arg $ trace_out_arg
-      $ faults_arg)
+      $ service_budget_arg $ timeout_ms_arg $ stats_out_arg $ trace_out_arg $ faults_arg)
 
 let fsck_cmd =
   Cmd.v

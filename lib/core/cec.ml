@@ -80,6 +80,32 @@ let check_miter ?max_conflicts engine miter =
   | Monolithic -> check_monolithic ?max_conflicts miter
   | Sweeping cfg -> check_sweeping ?max_conflicts cfg miter
 
+type supervised = {
+  result : (report, string) result;
+  crashes : int;
+}
+
+let check_supervised ?max_conflicts engine miter =
+  let attempt () =
+    Fault.inject "worker.crash";
+    if Fault.fire "engine.budget" then
+      (* Simulated budget blowout: the attempt burns its whole budget
+         without deciding, forcing the escalation/give-up machinery. *)
+      {
+        verdict = Undecided;
+        sweep_stats = None;
+        solver_conflicts = Option.value max_conflicts ~default:0;
+        sat_calls = 1;
+      }
+    else check_miter ?max_conflicts engine miter
+  in
+  match attempt () with
+  | report -> { result = Ok report; crashes = 0 }
+  | exception _ -> (
+    match attempt () with
+    | report -> { result = Ok report; crashes = 1 }
+    | exception e -> { result = Error (Printexc.to_string e); crashes = 2 })
+
 let check engine a b = check_miter engine (Aig.Miter.build a b)
 
 (* Bounded sequential equivalence: unroll both transition structures

@@ -49,6 +49,23 @@ val check : engine -> Aig.t -> Aig.t -> report
 (** Check a prebuilt single-output miter. *)
 val check_miter : ?max_conflicts:int -> engine -> Aig.t -> report
 
+type supervised = {
+  result : (report, string) result;
+      (** [Error reason] when the attempt and its retry both raised;
+          [reason] is the second exception *)
+  crashes : int;  (** attempts that raised: 0, 1 or 2 *)
+}
+
+(** [check_supervised ?max_conflicts engine miter] is {!check_miter}
+    under the fault contract shared by {!Parallel}'s partition jobs and
+    the service's escalation rounds.  Two {!Fault} points fire inside
+    it: [worker.crash] raises before the solve, and [engine.budget]
+    replaces the solve with a budget blowout (an [Undecided] report
+    charged the whole [max_conflicts]).  An attempt that raises is
+    retried once, at once; a second raise is returned, never
+    re-raised. *)
+val check_supervised : ?max_conflicts:int -> engine -> Aig.t -> supervised
+
 (** Bounded sequential equivalence: unroll both transition structures
     [frames] steps from their reset states and check the combinational
     expansions.  An [Inequivalent] witness is an input trace (frame 0's

@@ -65,8 +65,8 @@ type job = {
   mutable attempts : int;
   mutable conflicts : int;
   mutable sat_calls : int;
-  mutable crashes : int;
-  mutable last_error : string option;
+  mutable crashed : string option;
+      (* Some reason: an attempt and its retry both raised; terminal *)
 }
 
 (* How each output pair is settled. *)
@@ -75,35 +75,16 @@ type slot =
   | Slot_static_neq (* disagreement literal constant true *)
   | Slot_job of job
 
-let attempt engine budget job =
-  Fault.inject "worker.crash";
-  let report =
-    if Fault.fire "engine.budget" then
-      (* Simulated budget blowout: the attempt burns its whole budget
-         without deciding, forcing the escalation/give-up machinery. *)
-      {
-        Cec.verdict = Cec.Undecided;
-        sweep_stats = None;
-        solver_conflicts = Option.value budget ~default:0;
-        sat_calls = 1;
-      }
-    else Cec.check_miter ?max_conflicts:budget engine job.cone
-  in
-  job.attempts <- job.attempts + 1;
-  job.conflicts <- job.conflicts + report.Cec.solver_conflicts;
-  job.sat_calls <- job.sat_calls + report.Cec.sat_calls;
-  job.result <- Some report
+(* One supervised attempt on every job, pulling indices from a shared
+   counter (a queue without stealing: jobs are independent, so arrival
+   order cannot influence any result).  Returns the worker count used.
 
-(* Run one attempt on every job, pulling indices from a shared counter
-   (a queue without stealing: jobs are independent, so arrival order
-   cannot influence any result).  Returns the worker count used.
-
-   Supervision: a job whose attempt raises (a worker "crash" — real
-   bug or injected [worker.crash]) is retried once, immediately, on
-   the same worker; a second crash marks the job permanently crashed
-   ([job.crashes >= 2], surfaced as status [Crashed] and a degraded
+   Supervision is {!Cec.check_supervised}: a job whose attempt raises
+   (a worker "crash" — real bug or injected [worker.crash]) is retried
+   once, immediately, on the same worker; a second crash marks the job
+   permanently crashed (surfaced as status [Crashed] and a degraded
    report) instead of tearing down the whole round.  Each worker
-   mutates only the job it popped, so the crash bookkeeping needs no
+   mutates only the job it popped, so the bookkeeping needs no
    synchronization.
 
    Each worker records observability into its own local registry —
@@ -125,24 +106,22 @@ let run_round ~num_domains engine budget jobs =
           let o_queue_wait_ms = Obs.Registry.histogram reg "parallel.queue_wait_ms" in
           let o_crashes = Obs.Registry.counter reg "parallel.job_crashes" in
           let o_retries = Obs.Registry.counter reg "parallel.job_retries" in
-          let crash job e =
-            job.crashes <- job.crashes + 1;
-            job.last_error <- Some (Printexc.to_string e);
-            Obs.Counter.incr o_crashes
-          in
           let rec loop () =
             let i = Atomic.fetch_and_add next 1 in
             if i < n then begin
               let job = jobs.(i) in
               let t0 = Obs.Clock.now () in
               Obs.Histogram.observe o_queue_wait_ms (1000.0 *. (t0 -. round_start));
-              (try attempt engine budget job
-               with e ->
-                 crash job e;
-                 if job.crashes <= 1 then begin
-                   Obs.Counter.incr o_retries;
-                   try attempt engine budget job with e2 -> crash job e2
-                 end);
+              let s = Cec.check_supervised ?max_conflicts:budget engine job.cone in
+              Obs.Counter.add o_crashes s.Cec.crashes;
+              if s.Cec.crashes > 0 then Obs.Counter.incr o_retries;
+              (match s.Cec.result with
+              | Ok report ->
+                job.attempts <- job.attempts + 1;
+                job.conflicts <- job.conflicts + report.Cec.solver_conflicts;
+                job.sat_calls <- job.sat_calls + report.Cec.sat_calls;
+                job.result <- Some report
+              | Error reason -> job.crashed <- Some reason);
               Obs.Counter.incr o_attempts;
               Obs.Histogram.observe o_job_ms (1000.0 *. (Obs.Clock.now () -. t0));
               loop ()
@@ -165,9 +144,9 @@ let job_undecided job =
   | Some _ -> false
   | None -> true
 
-(* Crashed on both its attempt and the one retry: terminal, never
+(* Crashed on both an attempt and its retry: terminal, never
    rescheduled, reported as [Crashed]. *)
-let job_crashed job = job.crashes >= 2 && job_undecided job
+let job_crashed job = job.crashed <> None
 
 let job_refuted job =
   match job.result with
@@ -270,8 +249,7 @@ let check ?(config = default_config) a b =
                 attempts = 0;
                 conflicts = 0;
                 sat_calls = 0;
-                crashes = 0;
-                last_error = None;
+                crashed = None;
               }
             in
             Hashtbl.add job_of_diff diff job;
@@ -382,7 +360,7 @@ let check ?(config = default_config) a b =
   let crashed = Array.to_list jobs |> List.filter job_crashed in
   let crash_reason () =
     let detail =
-      match List.find_map (fun j -> j.last_error) crashed with
+      match List.find_map (fun j -> j.crashed) crashed with
       | Some msg -> ": " ^ msg
       | None -> ""
     in

@@ -88,9 +88,11 @@ type report = {
     undecided after [max_rounds] budget escalations (or crashed, see
     [degraded]) and no partition was refuted.
 
-    Supervision: a job whose engine raises — including the injected
-    [worker.crash] {!Fault} — is retried once; a second failure marks
-    its partition [Crashed] and degrades the run instead of raising
-    out of [check] or deadlocking the pool.
+    Supervision: every job attempt runs under
+    {!Cec.check_supervised}, so the [worker.crash] and [engine.budget]
+    {!Fault} points fire inside it and a job whose engine raises is
+    retried once; a second failure marks its partition [Crashed] and
+    degrades the run instead of raising out of [check] or deadlocking
+    the pool.  The [proof.lift] point fires in the stitch.
     @raise Invalid_argument if interfaces differ. *)
 val check : ?config:config -> Aig.t -> Aig.t -> report

@@ -1,6 +1,5 @@
 module Cec = Cec_core.Cec
 module Sweep = Cec_core.Sweep
-module Parallel = Cec_core.Parallel
 
 type config = {
   jobs : int;
@@ -13,7 +12,7 @@ type config = {
 let default_config =
   {
     jobs = 1;
-    engine = Cec.Sweeping Sweep.default_config;
+    engine = Cec.Sweeping { Sweep.default_config with Sweep.mode = Sweep.Incremental };
     budget = Some 50_000;
     escalation = 4;
     max_rounds = 4;
@@ -34,6 +33,9 @@ let solve ?(clock = Unix.gettimeofday) ?deadline config golden revised =
   in
   let escalation = max 2 config.escalation in
   let max_rounds = max 1 config.max_rounds in
+  (* Built on the first round, so an expired request does no work. *)
+  let miter = lazy (Aig.Miter.build golden revised) in
+  let o_rounds = Obs.Registry.counter (Obs.ambient ()) "engine.rounds" in
   let conflicts = ref 0 and sat_calls = ref 0 and rounds = ref 0 in
   let finish ?degraded verdict timed_out =
     {
@@ -48,32 +50,23 @@ let solve ?(clock = Unix.gettimeofday) ?deadline config golden revised =
   let rec round n budget =
     if expired () then finish Cec.Undecided true
     else begin
-      let pconfig =
-        {
-          Parallel.num_domains = max 1 config.jobs;
-          engine = config.engine;
-          budget;
-          escalation;
-          max_rounds = 1;
-        }
-      in
-      let report = Parallel.check ~config:pconfig golden revised in
+      let miter = Lazy.force miter in
+      let s = Cec.check_supervised ?max_conflicts:budget config.engine miter in
       incr rounds;
-      conflicts := !conflicts + report.Parallel.stats.Parallel.conflicts;
-      sat_calls := !sat_calls + report.Parallel.stats.Parallel.sat_calls;
-      match report.Parallel.verdict with
-      | (Cec.Equivalent _ | Cec.Inequivalent _) as verdict -> finish verdict false
-      | Cec.Undecided -> (
-        (* A degraded round (crashed job, failed stitch) is retried on
-           the next escalation round like any undecided one — transient
-           faults recover on a clean retry.  Only when the rounds run
-           out does the last degradation reason surface to the caller,
-           so a persistent fault yields an explicit uncertified answer
-           instead of a silent give-up. *)
-        match budget with
-        | None -> finish ?degraded:report.Parallel.degraded Cec.Undecided false
-        | Some b ->
-          if n + 1 >= max_rounds then finish ?degraded:report.Parallel.degraded Cec.Undecided false
+      Obs.Counter.incr o_rounds;
+      match s.Cec.result with
+      | Error reason ->
+        (* The round crashed on its attempt and its retry: an explicit
+           uncertified answer instead of a silent give-up. *)
+        finish ~degraded:(Printf.sprintf "solve crashed twice: %s" reason) Cec.Undecided false
+      | Ok report -> (
+        conflicts := !conflicts + report.Cec.solver_conflicts;
+        sat_calls := !sat_calls + report.Cec.sat_calls;
+        match (report.Cec.verdict, budget) with
+        | (Cec.Equivalent _ | Cec.Inequivalent _), _ | Cec.Undecided, None ->
+          finish report.Cec.verdict false
+        | Cec.Undecided, Some b ->
+          if n + 1 >= max_rounds then finish Cec.Undecided false
           else round (n + 1) (Some (b * escalation)))
     end
   in

@@ -1,32 +1,37 @@
-(** The service's decision procedure: requests are dispatched onto the
-    partitioned {!Cec_core.Parallel} domain pool, one scheduling round
-    at a time, with the conflict budget escalated geometrically between
-    rounds and a per-request deadline checked at every round boundary.
+(** The service's decision procedure: one incremental sweep of the
+    whole miter per round, with the conflict budget escalated
+    geometrically between rounds and a per-request deadline checked at
+    every round boundary.
 
-    A round is one [Parallel.check] call with [max_rounds = 1]; keeping
-    the rounds out here (instead of letting [Parallel] escalate
-    internally) is what makes deadlines enforceable: an expired
-    deadline between rounds aborts with a timeout instead of burning
-    the remaining budget.  The trade-off is that partitions settled in
-    an earlier round are re-solved in later ones; budgets grow
-    geometrically, so the waste is bounded by a constant factor.
+    The miter is built once per solve; each round is one
+    {!Cec_core.Cec.check_supervised} call on it.  Keeping the rounds
+    out here (instead of handing the engine one large budget) is what
+    makes deadlines enforceable: an expired deadline between rounds
+    aborts with a timeout instead of burning the remaining budget.  A
+    later round starts its sweep over; budgets grow geometrically, so
+    the waste is bounded by a constant factor.
 
     With [budget = None] the single round runs unbudgeted — it always
     decides, but a deadline can then only be enforced before it
-    starts. *)
+    starts.  Every executed round adds one to the ambient {!Obs}
+    counter [engine.rounds]. *)
 
 type config = {
-  jobs : int;  (** worker domains per solve (the [Parallel] pool size) *)
-  engine : Cec_core.Cec.engine;  (** per-partition decision engine *)
+  jobs : int;
+      (** ignored.  The field stays so that code written against the
+          older partitioned engine still builds (perfbench's service
+          replay sets [jobs = 1]); no code reads it.  Parallelism
+          across requests comes from the daemon's worker domains and
+          the fleet's shards. *)
+  engine : Cec_core.Cec.engine;  (** whole-miter decision engine *)
   budget : int option;
-      (** initial per-partition conflict budget; [None] = one
-          unbudgeted round *)
+      (** initial conflict budget; [None] = one unbudgeted round *)
   escalation : int;  (** budget multiplier between rounds (min 2) *)
   max_rounds : int;  (** budgeted rounds before giving up (min 1) *)
 }
 
-(** Sweeping partitions, one domain, 50k initial conflicts, 4x
-    escalation over at most 4 rounds. *)
+(** Incremental sweeping, 50k initial conflicts, 4x escalation over at
+    most 4 rounds. *)
 val default_config : config
 
 type result = {
@@ -36,11 +41,11 @@ type result = {
   rounds : int;  (** rounds actually executed *)
   timed_out : bool;  (** [Undecided] because the deadline expired *)
   degraded : string option;
-      (** [Some reason] when the final round was degraded (a partition
-          job crashed twice, or certificate stitching failed — see
-          {!Cec_core.Parallel.report}); the verdict is then an
-          uncertified [Undecided].  Earlier degraded rounds that a
-          later clean round recovered from are not reported. *)
+      (** [Some reason] when a round's solve raised on its attempt and
+          on its one retry (see {!Cec_core.Cec.check_supervised}); the
+          verdict is then an uncertified [Undecided] and no further
+          round runs.  A single crash that the retry recovered from is
+          not reported. *)
 }
 
 (** [solve ?clock ?deadline config golden revised] decides the pair.

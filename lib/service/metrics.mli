@@ -12,8 +12,8 @@ type outcome =
   | Undecided  (** conflict budget exhausted after every round *)
   | Timeout  (** per-request deadline expired *)
   | Uncertified
-      (** degraded: crashed partition jobs or failed certificate
-          stitching — answered honestly instead of claiming a result *)
+      (** degraded: the solve crashed on its attempt and its retry —
+          answered honestly instead of claiming a result *)
 
 type latency = {
   count : int;

@@ -1,6 +1,6 @@
 (** The certification daemon: a stream-socket server that answers
-    {!Protocol} requests from a persistent {!Store}, solving misses on
-    the {!Engine} (and thus the {!Cec_core.Parallel} domain pool).  It
+    {!Protocol} requests from a persistent {!Store}, solving misses
+    with the {!Engine}, one request per worker domain at a time.  It
     listens on any mix of {!Addr} endpoints — Unix domain sockets for
     a local daemon, TCP for a fleet shard behind the router.
 
@@ -36,7 +36,7 @@
     connections are always answered, never left hanging.  A worker
     loop that dies outside the per-job handler is restarted by a
     supervisor (counted in [worker_restarts]).  A degraded solve
-    (crashed partitions, failed certificate stitching) is reported as
+    (one that crashed on its attempt and its retry) is reported as
     status ["uncertified"] with a [reason] field rather than claiming
     a verdict, and its result is not cached.  At startup a stale
     socket file is removed only after a probe connect proves no daemon

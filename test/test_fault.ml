@@ -1,9 +1,9 @@
 (* Fault injection and every recovery path it drives: the spec
-   language and its deterministic firing, Parallel/Engine supervision
-   and graceful degradation, store crash recovery (orphan tmp files,
-   torn writes, fsck quarantine and re-adoption), the EINTR-safe wire
-   helpers, the retrying client, and the daemon's stale-socket probe
-   and typed worker-crash errors. *)
+   language and its deterministic firing, the supervision and graceful
+   degradation that Parallel and Engine share, store crash recovery
+   (orphan tmp files, torn writes, fsck quarantine and re-adoption),
+   the EINTR-safe wire helpers, the retrying client, and the daemon's
+   stale-socket probe and typed worker-crash errors. *)
 
 module Cec = Cec_core.Cec
 module Parallel = Cec_core.Parallel
@@ -176,6 +176,22 @@ let test_engine_propagates_degradation () =
   | Cec.Equivalent _ | Cec.Inequivalent _ -> Alcotest.fail "degraded solve must stay Undecided");
   Alcotest.(check bool) "reason surfaced" true (result.Engine.degraded <> None);
   Alcotest.(check bool) "not a timeout" false result.Engine.timed_out
+
+let test_engine_budget_fault_gives_up_cleanly () =
+  (* Every round's solve is a fabricated budget blowout: the engine
+     escalates through all its rounds and gives up honestly — an
+     Undecided that is neither degraded nor a timeout. *)
+  let golden, revised = small_pair () in
+  let config = { Engine.default_config with Engine.max_rounds = 3 } in
+  let result =
+    Fault.with_spec (Fault.always "engine.budget") (fun () -> Engine.solve config golden revised)
+  in
+  (match result.Engine.verdict with
+  | Cec.Undecided -> ()
+  | Cec.Equivalent _ | Cec.Inequivalent _ -> Alcotest.fail "budget fault must leave Undecided");
+  Alcotest.(check (option string)) "not degraded" None result.Engine.degraded;
+  Alcotest.(check bool) "not a timeout" false result.Engine.timed_out;
+  Alcotest.(check int) "every round ran" 3 result.Engine.rounds
 
 (* --- store crash recovery --- *)
 
@@ -703,6 +719,8 @@ let suites =
         Alcotest.test_case "clean run not degraded" `Quick test_parallel_clean_run_not_degraded;
         Alcotest.test_case "engine propagates degradation" `Quick
           test_engine_propagates_degradation;
+        Alcotest.test_case "engine budget fault gives up cleanly" `Quick
+          test_engine_budget_fault_gives_up_cleanly;
         Alcotest.test_case "batch uncertified not cached" `Quick test_batch_uncertified_not_cached;
         Alcotest.test_case "metrics robustness counters" `Quick test_metrics_robustness_counters;
       ] );

@@ -702,6 +702,32 @@ let prop_histogram_totals =
          && Float.abs (Obs.Histogram.sum h -. List.fold_left ( +. ) 0.0 xs) <= 1e-6
          && Obs.Histogram.max_value h = List.fold_left Float.max neg_infinity xs))
 
+(* The service engine counts its own escalation rounds and never runs
+   the partitioned engine. *)
+let test_engine_rounds_counted () =
+  let case = List.hd Circuits.Suite.small in
+  let golden = case.Circuits.Suite.golden () and revised = case.Circuits.Suite.revised () in
+  let solve config =
+    let reg = Obs.Registry.create () in
+    let (_ : Service.Engine.result) =
+      Obs.with_ambient reg (fun () -> Service.Engine.solve config golden revised)
+    in
+    Obs.Registry.counters reg
+  in
+  let rounds counters = Option.value (List.assoc_opt "engine.rounds" counters) ~default:0 in
+  let clean = solve Service.Engine.default_config in
+  Alcotest.(check int) "clean pair: one round" 1 (rounds clean);
+  List.iter
+    (fun (name, _) ->
+      if String.starts_with ~prefix:"parallel." name then
+        Alcotest.failf "service solve recorded %s" name)
+    clean;
+  let blown =
+    Fault.with_spec (Fault.always "engine.budget") (fun () ->
+        solve { Service.Engine.default_config with Service.Engine.max_rounds = 3 })
+  in
+  Alcotest.(check int) "budget blowouts: every round" 3 (rounds blown)
+
 let prop_spans_well_parenthesized =
   (* Random span trees: the Chrome export of a single-domain registry
      is always a balanced B/E sequence, even when bodies raise. *)
@@ -750,6 +776,7 @@ let suites =
         Alcotest.test_case "counters_json sorted and stable" `Quick
           test_counters_json_sorted_and_stable;
         Alcotest.test_case "trace export shape" `Quick test_trace_export_shape;
+        Alcotest.test_case "engine rounds counted" `Quick test_engine_rounds_counted;
         prop_merge_associative;
         prop_merge_commutative;
         prop_merge_identity;

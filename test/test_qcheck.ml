@@ -10,6 +10,11 @@ module Clause = Cnf.Clause
 
 let sweeping = Cec.Sweeping Sweep.default_config
 
+(* The service's decision procedure, with the configuration [serve]
+   and [batch] run. *)
+let service golden revised =
+  (Service.Engine.solve Service.Engine.default_config golden revised).Service.Engine.verdict
+
 let qtest ?(count = 20) name prop =
   let arb = QCheck.make ~print:string_of_int QCheck.Gen.nat in
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~name ~count arb prop)
@@ -38,9 +43,9 @@ let verdict_of = function
   | Cec.Inequivalent _ -> "neq"
   | Cec.Undecided -> "undecided"
 
-(* (a) The monolithic, sweeping and parallel engines agree. *)
+(* (a) The monolithic, sweeping, parallel and service engines agree. *)
 let prop_engines_agree =
-  qtest "mono/sweep/parallel verdicts agree" (fun seed ->
+  qtest "mono/sweep/parallel verdicts agree with the service engine" (fun seed ->
       let golden, revised = random_pair seed in
       let mono = (Cec.check Cec.Monolithic golden revised).Cec.verdict in
       let sweep = (Cec.check sweeping golden revised).Cec.verdict in
@@ -50,10 +55,15 @@ let prop_engines_agree =
            golden revised)
           .Parallel.verdict
       in
-      let ok = verdict_of mono = verdict_of sweep && verdict_of sweep = verdict_of par in
+      let svc = service golden revised in
+      let ok =
+        verdict_of mono = verdict_of sweep
+        && verdict_of sweep = verdict_of par
+        && verdict_of par = verdict_of svc
+      in
       if not ok then
-        QCheck.Test.fail_reportf "mono=%s sweep=%s parallel=%s" (verdict_of mono)
-          (verdict_of sweep) (verdict_of par);
+        QCheck.Test.fail_reportf "mono=%s sweep=%s parallel=%s service=%s" (verdict_of mono)
+          (verdict_of sweep) (verdict_of par) (verdict_of svc);
       true)
 
 (* (b) Every Equivalent certificate is a checkable refutation of its
@@ -68,6 +78,7 @@ let prop_certificates_check =
             (Cec.check Cec.Monolithic golden revised).Cec.verdict;
             (Cec.check sweeping golden revised).Cec.verdict;
             (Parallel.check golden revised).Parallel.verdict;
+            service golden revised;
           ]
       in
       List.iter
@@ -100,6 +111,7 @@ let prop_witnesses_simulate =
           (Cec.check Cec.Monolithic golden revised).Cec.verdict;
           (Cec.check sweeping golden revised).Cec.verdict;
           (Parallel.check golden revised).Parallel.verdict;
+          service golden revised;
         ];
       true)
 

@@ -272,7 +272,9 @@ let test_contradictory_assumptions_regression () =
 (* --- full-stack smoke in both modes --- *)
 
 (* The parallel checker and the service engine, each driven once per
-   sweep mode. *)
+   sweep mode.  The service engine's certificate must also pass the
+   hinted checker over the hinted encoding, the body the store
+   writes. *)
 let test_stack_smoke_both_modes () =
   let case = Option.get (Suite.find "add4-rc-cla") in
   let golden = case.Suite.golden () and revised = case.Suite.revised () in
@@ -286,11 +288,19 @@ let test_stack_smoke_both_modes () =
       | Cec.Equivalent cert ->
         check_certificate ~what:("parallel-smoke/" ^ what) golden revised cert
       | Cec.Inequivalent _ | Cec.Undecided -> Alcotest.failf "%s: parallel smoke failed" what);
-      let econfig =
-        { Service.Engine.default_config with Service.Engine.jobs = 2; engine = engine mode }
-      in
+      let econfig = { Service.Engine.default_config with Service.Engine.engine = engine mode } in
       match (Service.Engine.solve econfig golden revised).Service.Engine.verdict with
-      | Cec.Equivalent _ -> ()
+      | Cec.Equivalent cert -> (
+        check_certificate ~what:("service-smoke/" ^ what) golden revised cert;
+        let body =
+          Proof.Binfmt.encode_hinted ~boundaries:cert.Cec.boundaries cert.Cec.proof
+            ~root:cert.Cec.root
+        in
+        match Proof.Hint_check.check ~formula:cert.Cec.formula body with
+        | Ok _ -> ()
+        | Error e ->
+          Alcotest.failf "%s: hinted checker rejected the service certificate: %a" what
+            Proof.Hint_check.pp_error e)
       | Cec.Inequivalent _ | Cec.Undecided ->
         Alcotest.failf "%s: service engine smoke failed" what)
     modes
