@@ -1,8 +1,9 @@
-let visit_tfi g lits =
-  let seen = Array.make (Graph.num_nodes g) false in
+let unmarked g ~marks ~mark lits =
+  let acc = Support.Veci.create () in
   let rec visit n =
-    if n <> 0 && not seen.(n) then begin
-      seen.(n) <- true;
+    if n <> 0 && marks.(n) <> mark then begin
+      marks.(n) <- mark;
+      Support.Veci.push acc n;
       if Graph.is_and_node g n then begin
         visit (Lit.var (Graph.fanin0 g n));
         visit (Lit.var (Graph.fanin1 g n))
@@ -10,34 +11,13 @@ let visit_tfi g lits =
     end
   in
   List.iter (fun l -> visit (Lit.var l)) lits;
-  seen
-
-let collect seen p =
-  let acc = ref [] in
-  for n = Array.length seen - 1 downto 0 do
-    if seen.(n) && p n then acc := n :: !acc
-  done;
-  Array.of_list !acc
-
-let tfi g lits = collect (visit_tfi g lits) (fun n -> n <> 0)
-let tfi_ands g lits = collect (visit_tfi g lits) (Graph.is_and_node g)
-
-let tfi_ands_above g lits ~stop =
-  let seen = Array.make (Graph.num_nodes g) false in
-  let rec visit n =
-    if n <> 0 && not seen.(n) && not (stop n) then begin
-      seen.(n) <- true;
-      if Graph.is_and_node g n then begin
-        visit (Lit.var (Graph.fanin0 g n));
-        visit (Lit.var (Graph.fanin1 g n))
-      end
-    end
-  in
-  List.iter (fun l -> visit (Lit.var l)) lits;
-  collect seen (Graph.is_and_node g)
+  let nodes = Support.Veci.to_array acc in
+  Array.sort Int.compare nodes;
+  nodes
 
 let support g lits =
-  let seen = visit_tfi g lits in
-  collect seen (Graph.is_input_node g) |> Array.map (fun n -> n - 1)
-
-let size g lits = Array.length (tfi_ands g lits)
+  unmarked g ~marks:(Array.make (Graph.num_nodes g) 0) ~mark:1 lits
+  |> Array.to_list
+  |> List.filter (Graph.is_input_node g)
+  |> List.map (fun n -> n - 1)
+  |> Array.of_list

@@ -1,21 +1,16 @@
 (** Transitive fanin cones and structural supports. *)
 
-(** [tfi g lits] is the set of node identifiers in the transitive
-    fanin of [lits] (including the literals' own nodes, excluding the
-    constant), as a sorted array. *)
-val tfi : Graph.t -> Lit.t list -> int array
-
-(** Same, restricted to AND nodes, in topological order. *)
-val tfi_ands : Graph.t -> Lit.t list -> int array
-
-(** AND nodes in the transitive fanin of [lits] that lie strictly
-    above the frontier: traversal does not enter (or include) nodes
-    satisfying [stop].  Used by the partitioned checker to isolate the
-    output-combining layer of a miter from the per-output cones. *)
-val tfi_ands_above : Graph.t -> Lit.t list -> stop:(int -> bool) -> int array
+(** [unmarked g ~marks ~mark lits] is the nodes in the transitive fanin
+    of [lits] (the literals' own nodes included, the constant excluded)
+    whose [marks] entry is not [mark], in ascending — topological —
+    order.  The walk sets each such entry to [mark] as it reaches the
+    node and does not enter a node already marked, so it costs the
+    nodes it returns, not the graph.  [marks] has one entry per node
+    and belongs to the caller: a new [mark] makes the next walk start
+    afresh; the same [mark] returns only what earlier walks did not
+    reach, which over marked sets closed under fanin (every node's
+    fanins marked too) is exactly the cone minus the marked nodes. *)
+val unmarked : Graph.t -> marks:int array -> mark:int -> Lit.t list -> int array
 
 (** Primary-input indices (0-based) in the structural support. *)
 val support : Graph.t -> Lit.t list -> int array
-
-(** Number of AND nodes in the cone. *)
-val size : Graph.t -> Lit.t list -> int

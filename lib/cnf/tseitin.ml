@@ -20,22 +20,6 @@ let of_graph g =
   Formula.ensure_vars f (Aig.num_nodes g);
   f
 
-let of_cone g lits =
-  let f = Formula.create () in
-  ignore (Formula.add f constant_unit);
-  Array.iter (fun n -> add_and f g n) (Aig.Cone.tfi_ands g lits);
-  Formula.ensure_vars f (Aig.num_nodes g);
-  f
-
-let add_cone f g ~added lits =
-  Array.iter
-    (fun n ->
-      if not added.(n) then begin
-        added.(n) <- true;
-        add_and f g n
-      end)
-    (Aig.Cone.tfi_ands g lits)
-
 let miter_formula g =
   if Aig.num_outputs g <> 1 then invalid_arg "Tseitin.miter_formula: expected one output";
   let f = of_graph g in

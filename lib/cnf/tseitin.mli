@@ -15,17 +15,6 @@
     [num_vars] equals [Graph.num_nodes]. *)
 val of_graph : Aig.t -> Formula.t
 
-(** Definitional clauses of the AND nodes in the transitive fanin of
-    [lits] only, plus the constant unit.  Variables keep their graph
-    identities, so formulas of overlapping cones agree. *)
-val of_cone : Aig.t -> Aig.Lit.t list -> Formula.t
-
-(** Add the cone clauses of [lits] to an existing formula (same
-    identity mapping), skipping AND nodes already present according to
-    [added], a caller-maintained per-node bitmap.  This is how the
-    sweeping engine accumulates one CNF across many queries. *)
-val add_cone : Formula.t -> Aig.t -> added:bool array -> Aig.Lit.t list -> unit
-
 (** The three definitional clauses of one AND node. *)
 val clauses_of_and : Aig.t -> int -> Clause.t list
 

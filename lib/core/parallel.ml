@@ -202,12 +202,16 @@ let stitch miter diffs formula jobs =
     let solver = Solver.create ~proof:qproof () in
     Solver.ensure_vars solver (Aig.num_nodes miter);
     Solver.add_clause solver Cnf.Tseitin.constant_unit;
-    let stop = Array.make (Aig.num_nodes miter) false in
-    Array.iter (fun d -> if not (Lit.is_const d) then stop.(Lit.var d) <- true) diffs;
+    (* Pre-marked disagreement nodes stop the walk, so only the
+       output-combining layer above them is loaded. *)
+    let marks = Array.make (Aig.num_nodes miter) 0 in
+    Array.iter (fun d -> if not (Lit.is_const d) then marks.(Lit.var d) <- 1) diffs;
     let out = Aig.output miter 0 in
     Array.iter
-      (fun n -> List.iter (Solver.add_clause solver) (Cnf.Tseitin.clauses_of_and miter n))
-      (Aig.Cone.tfi_ands_above miter [ out ] ~stop:(fun n -> stop.(n)));
+      (fun n ->
+        if Aig.is_and_node miter n then
+          List.iter (Solver.add_clause solver) (Cnf.Tseitin.clauses_of_and miter n))
+      (Aig.Cone.unmarked miter ~marks ~mark:1 [ out ]);
     Solver.add_clause solver (Clause.singleton out);
     List.iter (Solver.add_clause solver) (List.rev !lemma_order);
     (match Solver.solve solver with

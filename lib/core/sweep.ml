@@ -186,11 +186,28 @@ let rec settle e n =
 
 let sweep_all e = Aig.iter_ands e.g (fun n -> settle e n)
 
+(* The three definitional clauses of every AND node [n]
+   ([Cnf.Tseitin.clauses_of_and]) at [3n .. 3n+2], built once per
+   engine so a query adds its cone's clauses without rebuilding them. *)
+let tseitin_table g =
+  let table = Array.make (3 * Aig.num_nodes g) Clause.empty in
+  Aig.iter_ands g (fun n ->
+      List.iteri (fun i c -> table.((3 * n) + i) <- c) (Cnf.Tseitin.clauses_of_and g n));
+  table
+
+let add_definitions solver table n =
+  for i = 3 * n to (3 * n) + 2 do
+    Solver.add_clause solver table.(i)
+  done
+
 (* --- mode 1: a fresh solver per query, assumption-unit clauses,
        lifting, and explicit import into the global proof ------------ *)
 
 type fresh_state = {
   miter_cnf : Formula.t;
+  definitions : Clause.t array; (* [tseitin_table] of the graph *)
+  stamp : int array; (* per node: the last query whose cone held it *)
+  mutable epoch : int;
   global : R.t;
   lemma_root : (Clause.t, R.id) Hashtbl.t;
   mutable lemma_list : Clause.t list;
@@ -223,15 +240,21 @@ let fresh_import st qproof root =
         assert (Formula.mem st.miter_cnf c);
         R.add_leaf st.global c)
 
+(* One query on a fresh solver over the query's cone.  Every graph
+   node is declared as a solver variable and sits in the decision heap,
+   but only the cone is walked and only its clauses are added, from the
+   engine's clause table, in ascending node order. *)
 let fresh_query g cfg st stats ~lits ~assumptions =
   stats.sat_calls <- stats.sat_calls + 1;
   let qproof = R.create () in
   let solver = Solver.create ~proof:qproof () in
-  let cone = Aig.Cone.tfi g lits in
-  let in_cone = Array.make (Aig.num_nodes g) false in
-  in_cone.(0) <- true;
-  Array.iter (fun n -> in_cone.(n) <- true) cone;
-  Solver.add_formula solver (Cnf.Tseitin.of_cone g lits);
+  st.epoch <- st.epoch + 1;
+  let epoch = st.epoch in
+  let cone = Aig.Cone.unmarked g ~marks:st.stamp ~mark:epoch lits in
+  let in_cone v = v = 0 || st.stamp.(v) = epoch in
+  Solver.ensure_vars solver (Aig.num_nodes g);
+  Solver.add_clause solver Cnf.Tseitin.constant_unit;
+  Array.iter (fun n -> if Aig.is_and_node g n then add_definitions solver st.definitions n) cone;
   if cfg.lemma_reuse then
     Array.iter
       (fun n ->
@@ -240,7 +263,7 @@ let fresh_query g cfg st stats ~lits ~assumptions =
         | Some lemmas ->
           List.iter
             (fun c ->
-              if Clause.fold (fun acc l -> acc && in_cone.(Lit.var l)) true c then
+              if Clause.fold (fun acc l -> acc && in_cone (Lit.var l)) true c then
                 Solver.add_clause solver c)
             lemmas)
       cone;
@@ -290,6 +313,9 @@ let make_fresh_engine g cfg ~formula =
   let st =
     {
       miter_cnf = formula;
+      definitions = tseitin_table g;
+      stamp = Array.make (Aig.num_nodes g) 0;
+      epoch = 0;
       global = R.create ();
       lemma_root = Hashtbl.create 256;
       lemma_list = [];
@@ -322,7 +348,11 @@ let make_incremental_engine g cfg ~formula =
   let solver = Solver.create ~proof:global () in
   Solver.ensure_vars solver (Aig.num_nodes g);
   Solver.add_clause solver Cnf.Tseitin.constant_unit;
-  let added = Array.make (Aig.num_nodes g) false in
+  let definitions = tseitin_table g in
+  (* Nodes whose clauses are loaded, marked 1 for good: loaded nodes
+     are closed under fanin, so a walk stops where the loaded part
+     begins. *)
+  let loaded = Array.make (Aig.num_nodes g) 0 in
   let stats = fresh_stats () in
   let o = obs_handles () in
   let prev_conflicts = ref 0 in
@@ -332,12 +362,8 @@ let make_incremental_engine g cfg ~formula =
   in
   let add_cone lits =
     Array.iter
-      (fun n ->
-        if not added.(n) then begin
-          added.(n) <- true;
-          List.iter (Solver.add_clause solver) (Cnf.Tseitin.clauses_of_and g n)
-        end)
-      (Aig.Cone.tfi_ands g lits)
+      (fun n -> if Aig.is_and_node g n then add_definitions solver definitions n)
+      (Aig.Cone.unmarked g ~marks:loaded ~mark:1 lits)
   in
   let sections = ref [] in
   let query ~lits ~assumptions =

@@ -16,7 +16,15 @@ type mode =
       (** a fresh throwaway solver per query over the candidates' fanin
           cones, assumption-unit clauses, each refutation
           {!Proof.Lift}ed and imported into a global store (the flow as
-          described in the paper) *)
+          described in the paper).
+
+          Cost of one query on an [N]-node miter: O(N) array slots to
+          declare every node as a solver variable (each one is in the
+          decision heap, so the search matches a solver loaded with the
+          whole miter's variables), O(cone) to walk the cone once and
+          add its clauses from a Tseitin clause table built once per
+          engine, then the search and the lift and import of its
+          refutation. *)
   | Incremental
       (** one persistent solver per instance whose proof store {e is}
           the global proof — cone clauses loaded once on demand,
@@ -27,7 +35,12 @@ type mode =
           at all.  Queries already settled by root-level facts are
           answered without a SAT call (counted by
           [sweep.incremental_reuse]).  Both modes produce the same kind
-          of checkable certificate. *)
+          of checkable certificate.
+
+          Cost of one query: the cone nodes not loaded by an earlier
+          query (the walk stops where the loaded part begins), then the
+          search.  Declaring the [N] miter variables is paid once, when
+          the engine is made. *)
 
 val mode_to_string : mode -> string
 

@@ -22,14 +22,14 @@ type t = {
   mutable arena : clause_rec array;
   mutable num_clauses : int;
   mutable nvars : int;
-  (* Per-variable state (capacity-doubled on new_var). *)
+  (* Per-variable state, sized by [grow_arrays]. *)
   mutable assign : int array; (* -1 unassigned, else 0/1 *)
   mutable level : int array;
   mutable reason : int array; (* arena index or -1 *)
   mutable activity : float array;
   mutable phase : bool array;
   mutable seen : bool array; (* analyze scratch *)
-  mutable watches : Veci.t array; (* per literal *)
+  mutable watches : Veci.t array; (* per literal; [no_watches] until first watched *)
   trail : Veci.t;
   trail_lim : Veci.t;
   mutable qhead : int;
@@ -62,6 +62,13 @@ type t = {
 
 let dummy_clause = { lits = [||]; pid = -1; learned = false; act = 0.0; deleted = false }
 
+(* The watch list of every literal nothing watches yet, shared by all
+   solvers: a literal gets its own list at its first [watch], so
+   declaring a variable costs no allocation beyond its array slots.
+   Nothing ever writes to it ([watch] replaces it first and [propagate]
+   leaves empty lists alone), so it stays empty. *)
+let no_watches = Veci.create ~capacity:0 ()
+
 let create ?proof ?(reduce_base = 4000) () =
   let proof = match proof with Some p -> p | None -> R.create () in
   let reg = Obs.ambient () in
@@ -76,7 +83,7 @@ let create ?proof ?(reduce_base = 4000) () =
     activity = Array.make 16 0.0;
     phase = Array.make 16 false;
     seen = Array.make 16 false;
-    watches = Array.init 32 (fun _ -> Veci.create ~capacity:4 ());
+    watches = Array.make 32 no_watches;
     trail = Veci.create ();
     trail_lim = Veci.create ();
     qhead = 0;
@@ -104,6 +111,7 @@ let create ?proof ?(reduce_base = 4000) () =
     unit_pids = Hashtbl.create 64;
   }
 
+let shared_watch_list_size () = Veci.size no_watches
 let proof s = s.proof
 let proof_size s = R.size s.proof
 let trim_hints s = Veci.to_array s.retired
@@ -125,15 +133,16 @@ let order s =
     s.order <- Some h;
     h
 
+(* Make room for [n] variables: every per-variable array is
+   reallocated at most once, to [n] slots or double its capacity,
+   whichever is more (declaring a block sizes it exactly, declaring one
+   at a time stays amortized O(1)). *)
 let grow_arrays s n =
   let cap = Array.length s.assign in
   if n > cap then begin
-    let cap' = ref cap in
-    while !cap' < n do
-      cap' := !cap' * 2
-    done;
+    let cap' = max n (2 * cap) in
     let extend a fill =
-      let b = Array.make !cap' fill in
+      let b = Array.make cap' fill in
       Array.blit a 0 b 0 cap;
       b
     in
@@ -144,23 +153,29 @@ let grow_arrays s n =
     s.phase <- extend s.phase false;
     s.seen <- extend s.seen false;
     let wcap = Array.length s.watches in
-    if 2 * !cap' > wcap then begin
-      let w = Array.init (2 * !cap') (fun i -> if i < wcap then s.watches.(i) else Veci.create ~capacity:4 ()) in
+    if 2 * cap' > wcap then begin
+      let w = Array.make (2 * cap') no_watches in
+      Array.blit s.watches 0 w 0 wcap;
       s.watches <- w
     end
   end
 
-let new_var s =
-  grow_arrays s (s.nvars + 1);
-  let v = s.nvars in
-  s.nvars <- s.nvars + 1;
-  (match s.order with Some h -> Heap.insert h v | None -> ());
-  v
-
 let ensure_vars s n =
-  while s.nvars < n do
-    ignore (new_var s)
-  done
+  if n > s.nvars then begin
+    grow_arrays s n;
+    (match s.order with
+    | Some h ->
+      for v = s.nvars to n - 1 do
+        Heap.insert h v
+      done
+    | None -> ());
+    s.nvars <- n
+  end
+
+let new_var s =
+  let v = s.nvars in
+  ensure_vars s (v + 1);
+  v
 
 (* Literal valuation: 1 true, 0 false, -1 unassigned. *)
 let lit_value s l =
@@ -192,7 +207,9 @@ let push_arena s cr =
   s.num_clauses <- s.num_clauses + 1;
   s.num_clauses - 1
 
-let watch s l ci = Veci.push s.watches.(l) ci
+let watch s l ci =
+  if s.watches.(l) == no_watches then s.watches.(l) <- Veci.create ~capacity:4 ();
+  Veci.push s.watches.(l) ci
 
 (* Derive the empty clause from a clause falsified at level 0 by
    resolving every literal against the reason chain of its variable, in
@@ -246,12 +263,11 @@ let add_clause_with_pid s c pid =
   (* Clauses may arrive between incremental queries: return to the
      root level so watch initialization sees only level-0 truths. *)
   cancel_until s 0;
-  let lits = Clause.lits c in
-  if Array.length lits = 0 then set_unsat s pid
+  if Clause.is_empty c then set_unsat s pid
   else begin
     (* Order literals so the first two are non-false when possible
        (clauses are only added at level 0). *)
-    let arr = Array.copy lits in
+    let arr = Clause.lits c in
     let n = Array.length arr in
     let k = ref 0 in
     for i = 0 to n - 1 do
@@ -351,7 +367,7 @@ let propagate s =
            end
            end
          done;
-         Veci.shrink wl !keep
+         if !keep < n then Veci.shrink wl !keep
        with Conflict _ as e -> raise e)
     done;
     -1

@@ -53,8 +53,16 @@ val trim_hints : t -> Proof.Resolution.id array
 (** Allocate one fresh variable; returns its index. *)
 val new_var : t -> int
 
-(** Make variables [0 .. n-1] exist. *)
+(** Make variables [0 .. n-1] exist.  Declaring a variable costs its
+    per-variable array slots only (each array grows at most once per
+    call); a literal's watch list is created when a clause first
+    watches it. *)
 val ensure_vars : t -> int -> unit
+
+(** Length of the one watch list shared by every literal that no clause
+    has watched yet, across all solvers.  Nothing writes to it, so this
+    is always [0]. *)
+val shared_watch_list_size : unit -> int
 
 val num_vars : t -> int
 

@@ -202,8 +202,13 @@ let test_cone_support () =
   Aig.add_output g bc;
   Alcotest.(check (array int)) "support of ab" [| 0; 1 |] (Aig.Cone.support g [ ab ]);
   Alcotest.(check (array int)) "support of both" [| 0; 1; 2 |] (Aig.Cone.support g [ ab; bc ]);
-  Alcotest.(check int) "cone size" 1 (Aig.Cone.size g [ ab ]);
-  Alcotest.(check int) "tfi ands of both" 2 (Array.length (Aig.Cone.tfi_ands g [ ab; bc ]))
+  (* Inputs a, b, c are nodes 1, 2, 3; ab and bc are nodes 5 and 6. *)
+  let marks = Array.make (Aig.num_nodes g) 0 in
+  Alcotest.(check (array int)) "cone of ab" [| 1; 2; 5 |] (Aig.Cone.unmarked g ~marks ~mark:1 [ ab ]);
+  Alcotest.(check (array int)) "same mark: only the unreached part" [| 3; 6 |]
+    (Aig.Cone.unmarked g ~marks ~mark:1 [ Aig.Lit.neg ab; bc ]);
+  Alcotest.(check (array int)) "new mark: the whole cone" [| 1; 2; 3; 5; 6 |]
+    (Aig.Cone.unmarked g ~marks ~mark:2 [ bc; ab ])
 
 let prop_extract_cone_preserves =
   qtest "extract_cone preserves functions" ~count:50

@@ -269,29 +269,6 @@ let test_tseitin_counts () =
     (Formula.num_clauses f);
   Alcotest.(check int) "vars = nodes" (Aig.num_nodes g) (Formula.num_vars f)
 
-let test_tseitin_cone_subset () =
-  let g = Circuits.Adder.ripple_carry 4 in
-  let out0 = Aig.output g 0 in
-  let whole = Cnf.Tseitin.of_graph g in
-  let cone = Cnf.Tseitin.of_cone g [ out0 ] in
-  Alcotest.(check bool) "cone is smaller" true
-    (Formula.num_clauses cone < Formula.num_clauses whole);
-  Formula.iter
-    (fun c ->
-      if not (Formula.mem whole c) then Alcotest.failf "cone clause not in whole formula")
-    cone
-
-let test_tseitin_add_cone_no_duplicates () =
-  let g = Circuits.Adder.ripple_carry 4 in
-  let f = Formula.create () in
-  let added = Array.make (Aig.num_nodes g) false in
-  Cnf.Tseitin.add_cone f g ~added [ Aig.output g 0 ];
-  let n1 = Formula.num_clauses f in
-  Cnf.Tseitin.add_cone f g ~added [ Aig.output g 0 ];
-  Alcotest.(check int) "idempotent" n1 (Formula.num_clauses f);
-  Cnf.Tseitin.add_cone f g ~added [ Aig.output g 4 ];
-  Alcotest.(check bool) "new cone adds clauses" true (Formula.num_clauses f > n1)
-
 let test_miter_formula_requires_single_output () =
   let g = Circuits.Adder.ripple_carry 2 in
   match Cnf.Tseitin.miter_formula g with
@@ -348,8 +325,6 @@ let suites =
         Alcotest.test_case "formula copy" `Quick test_formula_copy_independent;
         prop_tseitin_models_are_simulations;
         Alcotest.test_case "tseitin clause counts" `Quick test_tseitin_counts;
-        Alcotest.test_case "tseitin cone subset" `Quick test_tseitin_cone_subset;
-        Alcotest.test_case "tseitin add_cone idempotent" `Quick test_tseitin_add_cone_no_duplicates;
         Alcotest.test_case "miter formula arity" `Quick test_miter_formula_requires_single_output;
         Alcotest.test_case "dimacs roundtrip" `Quick test_dimacs_roundtrip;
         Alcotest.test_case "dimacs comments/multiline" `Quick test_dimacs_comments_and_multiline;

@@ -303,13 +303,13 @@ let test_trace_export_shape () =
    the sweeping schedule or the proof builders shows up here as a
    reviewed diff instead of a silent drift. *)
 
-let golden_counters golden revised =
+let golden_counters engine golden revised =
   let reg = Obs.Registry.create () in
-  let (_ : Cec.report) = Obs.with_ambient reg (fun () -> Cec.check sweeping golden revised) in
+  let (_ : Cec.report) = Obs.with_ambient reg (fun () -> Cec.check engine golden revised) in
   (reg, Obs.Registry.counters reg)
 
-let check_golden name expected golden revised =
-  let reg, actual = golden_counters golden revised in
+let check_golden ?(engine = sweeping) name expected golden revised =
+  let reg, actual = golden_counters engine golden revised in
   Alcotest.(check (list (pair string int))) name expected actual;
   (* Both exporters stay schema-valid on the real registry. *)
   Json.check_valid (name ^ " stats") (Obs.Export.stats_json reg);
@@ -462,6 +462,64 @@ let test_golden_falsifiable () =
       ("sweep.sim_refinements", 0);
     ]
     golden revised
+
+(* A fixture whose sweep meets two counterexamples and whose per-pair
+   queries decide mostly on variables outside their cone (every miter
+   node is a solver variable and sits in the decision heap), so these
+   pin the SAT answers and the decision order, not only refutations. *)
+let test_golden_counterexample_sweep () =
+  let case = suite_case "add8-rc-cla" in
+  check_golden "per-pair sweep with counterexamples"
+    [
+      ("proof.chains", 291);
+      ("proof.leaves", 12069);
+      ("proof.lift_nodes", 872);
+      ("proof.lifts", 66);
+      ("sat.clauses_carried", 0);
+      ("sat.conflicts", 98);
+      ("sat.decisions", 727);
+      ("sat.propagations", 1960);
+      ("sat.restarts", 0);
+      ("sat.retired_chains", 0);
+      ("sweep.const_merges", 23);
+      ("sweep.incremental_reuse", 0);
+      ("sweep.lemmas", 65);
+      ("sweep.merges", 21);
+      ("sweep.sat_budget", 0);
+      ("sweep.sat_calls", 69);
+      ("sweep.sat_cex", 2);
+      ("sweep.sat_refuted", 67);
+      ("sweep.sim_refinements", 2);
+    ]
+    ~engine:(Cec.Sweeping { Sweep.default_config with Sweep.mode = Sweep.Perpair })
+    (case.Circuits.Suite.golden ())
+    (case.Circuits.Suite.revised ())
+
+let test_golden_incremental_counterexample_sweep () =
+  let case = suite_case "add8-rc-cla" in
+  check_golden "incremental sweep with counterexamples"
+    [
+      ("proof.chains", 90);
+      ("proof.leaves", 452);
+      ("sat.clauses_carried", 1851);
+      ("sat.conflicts", 57);
+      ("sat.decisions", 209);
+      ("sat.propagations", 1430);
+      ("sat.restarts", 0);
+      ("sat.retired_chains", 0);
+      ("sweep.const_merges", 23);
+      ("sweep.incremental_reuse", 11);
+      ("sweep.lemmas", 65);
+      ("sweep.merges", 21);
+      ("sweep.sat_budget", 0);
+      ("sweep.sat_calls", 58);
+      ("sweep.sat_cex", 2);
+      ("sweep.sat_refuted", 56);
+      ("sweep.sim_refinements", 2);
+    ]
+    ~engine:(Cec.Sweeping { Sweep.default_config with Sweep.mode = Sweep.Incremental })
+    (case.Circuits.Suite.golden ())
+    (case.Circuits.Suite.revised ())
 
 (* --- determinism across worker counts --- *)
 
@@ -790,6 +848,9 @@ let suites =
         Alcotest.test_case "constant-0 miter" `Quick test_golden_constant_zero_miter;
         Alcotest.test_case "incremental adder pair" `Quick test_golden_incremental_adder;
         Alcotest.test_case "falsifiable pair" `Quick test_golden_falsifiable;
+        Alcotest.test_case "counterexample sweep" `Quick test_golden_counterexample_sweep;
+        Alcotest.test_case "incremental counterexample sweep" `Quick
+          test_golden_incremental_counterexample_sweep;
         Alcotest.test_case "aggregate counters independent of domains" `Quick
           test_jobs_independence;
         Alcotest.test_case "incremental counters independent of domains" `Quick

@@ -106,6 +106,89 @@ let test_random_vs_brute () =
     Alcotest.(check bool) "agreement with oracle" expected actual
   done
 
+let random_3cnf rng nvars nclauses =
+  List.init nclauses (fun _ ->
+      let rec pick acc k =
+        if k = 0 then acc
+        else
+          let v = Support.Rng.int rng nvars in
+          if List.exists (fun l -> Lit.var l = v) acc then pick acc k
+          else pick (Lit.make v ~neg:(Support.Rng.bool rng) :: acc) (k - 1)
+      in
+      Clause.of_list (pick [] 3))
+
+(* A random formula on a solver that declares many more variables than
+   the formula uses, its variables spread out among them. *)
+type padded = {
+  solver : Solver.t;
+  clauses : Clause.t array; (* over the formula's variables *)
+  placed : Clause.t array; (* the same clauses over solver variables *)
+  placement : int array; (* formula variable -> solver variable *)
+}
+
+let padded_instance rng ~declared =
+  let nvars = 4 + Support.Rng.int rng 9 in
+  let clauses = random_3cnf rng nvars (int_of_float (4.3 *. float_of_int nvars)) in
+  let stride = declared / nvars in
+  let placement = Array.init nvars (fun v -> (v * stride) + Support.Rng.int rng stride) in
+  let place l = Lit.make placement.(Lit.var l) ~neg:(Lit.is_neg l) in
+  let solver = Solver.create () in
+  Solver.ensure_vars solver declared;
+  {
+    solver;
+    clauses = Array.of_list clauses;
+    placed = Array.of_list (List.map (Clause.map_lits place) clauses);
+    placement;
+  }
+
+(* The first [k] clauses of [cs] as a formula over [nvars] variables. *)
+let prefix_formula ?(nvars = 0) cs k =
+  let f = Formula.create () in
+  Formula.ensure_vars f nvars;
+  Array.iteri (fun i c -> if i < k then ignore (Formula.add f c)) cs;
+  f
+
+(* Solve [p] with its first [k] clauses added, against the oracle. *)
+let check_padded p k =
+  let f = prefix_formula ~nvars:(Array.length p.placement) p.clauses k in
+  let expected = match Sat.Brute.solve f with Sat.Brute.Sat _ -> true | Sat.Brute.Unsat -> false in
+  match Solver.solve p.solver with
+  | Solver.Sat model ->
+    Alcotest.(check bool) "oracle agrees (sat)" true expected;
+    Alcotest.(check bool) "model satisfies formula" true
+      (Formula.satisfied_by f (Array.map (fun v -> model.(v)) p.placement))
+  | Solver.Unsat root ->
+    Alcotest.(check bool) "oracle agrees (unsat)" false expected;
+    check_unsat_proof (prefix_formula p.placed k) root (Solver.proof p.solver)
+  | Solver.Unknown | Solver.Unsat_assuming _ -> Alcotest.fail "unexpected answer"
+
+let test_lazy_watch_lists () =
+  (* Two solvers run interleaved, clause by clause and call by call.
+     Each declares 1000 variables and uses at most 12, so most literals
+     are never watched; those share one empty watch list across all
+     solvers.  A write to it from one solver would show up in the
+     other as a watcher of a clause it does not have. *)
+  let rng = Support.Rng.create 7 in
+  for _ = 1 to 60 do
+    let a = padded_instance rng ~declared:1000 and b = padded_instance rng ~declared:1000 in
+    let add p i = if i < Array.length p.placed then Solver.add_clause p.solver p.placed.(i) in
+    let n = max (Array.length a.placed) (Array.length b.placed) in
+    (* Half of each formula, both solved, then the rest, both solved. *)
+    for i = 0 to (n / 2) - 1 do
+      add a i;
+      add b i
+    done;
+    check_padded a (n / 2);
+    check_padded b (n / 2);
+    for i = n / 2 to n - 1 do
+      add b i;
+      add a i
+    done;
+    check_padded b n;
+    check_padded a n
+  done;
+  Alcotest.(check int) "shared empty watch list stays empty" 0 (Solver.shared_watch_list_size ())
+
 let test_assumption_units_lift () =
   (* F = (x0 -> x1) (x1 -> x2); assume x0 and ~x2: UNSAT.  Lifting must
      derive a sub-clause of (~x0 \/ x2) from F alone. *)
@@ -160,6 +243,7 @@ let base_suites =
         Alcotest.test_case "empty clause" `Quick test_empty_clause;
         Alcotest.test_case "pigeonhole 3/2" `Quick test_pigeonhole;
         Alcotest.test_case "random 3-CNF vs oracle" `Quick test_random_vs_brute;
+        Alcotest.test_case "interleaved padded solvers vs oracle" `Quick test_lazy_watch_lists;
         Alcotest.test_case "assumption lifting" `Quick test_assumption_units_lift;
         Alcotest.test_case "conflict budget" `Quick test_unknown_budget;
       ] );
