@@ -895,7 +895,8 @@ let cec_cmd =
           Sweep.default_config.Sweep.mode
       & info [ "sweep" ] ~docv:"MODE"
           ~doc:
-            "Sweeping engine mode: $(b,perpair) (a fresh solver per equivalence query) or \
+            "Sweeping engine mode: $(b,perpair) (a fresh search per equivalence query, on one \
+             solver reset between queries) or \
              $(b,incr) (one persistent incremental solver per partition — cone CNF loaded \
              once, queries issued as solver assumptions, learned clauses and proved lemmas \
              carried across queries).")

@@ -158,6 +158,8 @@ let to_binary_string g =
       push_varint (f1 - f0));
   Buffer.contents buf
 
+let max_binary_inputs = 1 lsl 20
+
 let of_binary_string text =
   let len = String.length text in
   let pos = ref 0 in
@@ -185,6 +187,13 @@ let of_binary_string text =
   in
   if m < 0 || i < 0 || l < 0 || o < 0 || a < 0 then fail "negative count in header %S" header;
   if l <> 0 then fail "latches are not supported (combinational only)";
+  if i > max_binary_inputs then
+    fail "binary header declares %d inputs (the reader takes at most %d)" i max_binary_inputs;
+  (* Every output line and every AND takes at least two bytes. *)
+  let remaining = len - !pos in
+  if o > remaining / 2 || a > (remaining - (2 * o)) / 2 then
+    fail "binary header declares %d outputs and %d ANDs, more than the %d bytes after it hold" o
+      a remaining;
   if m <> i + a then fail "binary AIGER requires M = I + A (got M=%d I=%d A=%d)" m i a;
   let output_lits =
     List.init o (fun _ ->
@@ -203,15 +212,15 @@ let of_binary_string text =
     loop 0 0
   in
   let g = Graph.create ~num_inputs:i in
-  (* map.(v) = our literal for binary variable v. *)
-  let map = Array.make (m + 1) Lit.false_ in
-  for k = 1 to i do
-    map.(k) <- Graph.input g (k - 1)
-  done;
+  (* Binary variable [v] is the constant for [v = 0], input [v - 1] up
+     to [I], and the [v - I]th AND after that, whose literal is
+     [ands.(v - I - 1)]. *)
+  let ands = Array.make a Lit.false_ in
   let lit_of encoded =
     let v = encoded / 2 in
-    if v > m then fail "literal %d out of range" encoded;
-    Lit.apply_sign map.(v) ~neg:(encoded mod 2 = 1)
+    if encoded < 0 || v > m then fail "literal %d out of range" encoded;
+    let lit = if v = 0 then Lit.false_ else if v <= i then Graph.input g (v - 1) else ands.(v - i - 1) in
+    Lit.apply_sign lit ~neg:(encoded mod 2 = 1)
   in
   for k = 0 to a - 1 do
     let lhs = 2 * (i + 1 + k) in
@@ -219,7 +228,7 @@ let of_binary_string text =
     let delta1 = read_varint () in
     let rhs0 = lhs - delta0 and rhs1 = lhs - delta0 - delta1 in
     if delta0 = 0 || rhs1 < 0 then fail "invalid deltas for AND %d" (i + 1 + k);
-    map.(i + 1 + k) <- Graph.and_ g (lit_of rhs0) (lit_of rhs1)
+    ands.(k) <- Graph.and_ g (lit_of rhs0) (lit_of rhs1)
   done;
   List.iter (fun lit -> Graph.add_output g (lit_of lit)) output_lits;
   g

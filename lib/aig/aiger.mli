@@ -18,9 +18,20 @@ val write_file : string -> Graph.t -> unit
     literals and varint-delta-encoded ANDs. *)
 val to_binary_string : Graph.t -> string
 
+(** The most inputs a binary header may declare: [2^20].  Binary inputs
+    have no lines of their own, so unlike every other count in the
+    header the file size cannot bound them, while every consumer of the
+    graph allocates per node.  The binary reader also requires the
+    header's outputs and ANDs to fit the bytes after it (at least two
+    bytes each), so it never allocates beyond the file's size and this
+    constant. *)
+val max_binary_inputs : int
+
 (** Parse an AIGER document, auto-detecting ASCII ("aag") vs binary
     ("aig") from the header.
-    @raise Parse_error on malformed input or latches. *)
+    @raise Parse_error on malformed input or latches, and on a binary
+    header declaring more than {!max_binary_inputs} inputs or more
+    outputs and ANDs than the file holds. *)
 val of_string : string -> Graph.t
 
 (** [of_ascii_with_latches text] reads an ASCII ("aag") document that

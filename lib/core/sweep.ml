@@ -3,6 +3,7 @@ module Clause = Cnf.Clause
 module Formula = Cnf.Formula
 module Solver = Sat.Solver
 module R = Proof.Resolution
+module Veci = Support.Veci
 
 type mode =
   | Perpair
@@ -200,18 +201,49 @@ let add_definitions solver table n =
     Solver.add_clause solver table.(i)
   done
 
-(* --- mode 1: a fresh solver per query, assumption-unit clauses,
-       lifting, and explicit import into the global proof ------------ *)
+(* --- mode 1: per-pair queries on one recycled solver, assumption-unit
+       clauses, lifting, and explicit import into the global proof --- *)
 
+(* A proved lemma as the per-pair engine keeps it.  [twin] is the slot
+   of an equal CNF clause (a lemma can be one of its node's fanin
+   clauses, or the output unit), or [-1]. *)
+type lemma = {
+  clause : Clause.t;
+  root : R.id; (* its derivation in the global proof *)
+  twin : int;
+}
+
+(* Every query is asked of the same solver over the same proof store,
+   both reset first; each leaf of that store records its origin, so an
+   import maps it to its global node by array lookup:
+   - [s >= 0]: slot [s] of [table]; its global leaf is registered at
+     the first import that needs it, so the global node order is that
+     of first use;
+   - [-1 - r]: a lemma whose derivation is global node [r].
+   A query holds one leaf per distinct clause.  A lemma equal to a
+   fanin clause of its node is refuted by that clause alone, so its
+   root is the clause's own global leaf; one equal to the output unit
+   makes the final query satisfiable.  Either way the two origins of a
+   shared leaf import alike. *)
 type fresh_state = {
   miter_cnf : Formula.t;
-  definitions : Clause.t array; (* [tseitin_table] of the graph *)
+  table : Clause.t array;
+      (* every CNF clause a query can add, by slot: the [tseitin_table],
+         with the constant unit at slot 0 and a single-output graph's
+         output unit at slot 1, which the constant node leaves free *)
+  output_slot : int; (* 1, or 0 when the output unit is the constant unit *)
+  slot_global : R.id array; (* per slot: its global node, [-1] until needed *)
+  slot_epoch : int array; (* per slot: the last query that added it *)
+  slot_pid : R.id array; (* per slot: its leaf in that query *)
   stamp : int array; (* per node: the last query whose cone held it *)
   mutable epoch : int;
+  solver : Solver.t;
+  qproof : R.t; (* [solver]'s proof store *)
+  origin : Veci.t; (* per [qproof] leaf: its origin *)
   global : R.t;
-  lemma_root : (Clause.t, R.id) Hashtbl.t;
-  mutable lemma_list : Clause.t list;
-  lemmas_by_max_var : (int, Clause.t list) Hashtbl.t;
+  registered : (Clause.t, unit) Hashtbl.t;
+  mutable lemma_list : lemma list;
+  lemmas_at : lemma list array; (* per node: the lemmas whose largest variable it is *)
   mutable sections : R.id list;
       (* last global proof node of each imported per-query refutation,
          newest first: section boundaries for hinted certificate
@@ -219,85 +251,137 @@ type fresh_state = {
 }
 
 let fresh_register o st stats clause root =
-  if not (Hashtbl.mem st.lemma_root clause) then begin
-    Hashtbl.replace st.lemma_root clause root;
-    st.lemma_list <- clause :: st.lemma_list;
-    let key = Clause.max_var clause in
-    let existing = Option.value ~default:[] (Hashtbl.find_opt st.lemmas_by_max_var key) in
-    Hashtbl.replace st.lemmas_by_max_var key (clause :: existing);
+  if not (Hashtbl.mem st.registered clause) then begin
+    Hashtbl.replace st.registered clause ();
+    let m = Clause.max_var clause in
+    let twin =
+      Option.value ~default:(-1)
+        (List.find_opt
+           (fun i -> Clause.equal st.table.(i) clause)
+           [ st.output_slot; 3 * m; (3 * m) + 1; (3 * m) + 2 ])
+    in
+    let l = { clause; root; twin } in
+    st.lemma_list <- l :: st.lemma_list;
+    st.lemmas_at.(m) <- l :: st.lemmas_at.(m);
     stats.lemmas <- stats.lemmas + 1;
     Obs.Counter.incr o.o_lemmas
   end
 
-(* Import a lifted derivation from a per-query proof into the global
-   proof: miter clauses become (hash-consed) global leaves, previously
-   proved lemmas are replaced by their derivations. *)
-let fresh_import st qproof root =
-  R.import st.global qproof ~root ~map_leaf:(fun _id c ->
-      match Hashtbl.find_opt st.lemma_root c with
-      | Some lemma_id -> lemma_id
-      | None ->
-        assert (Formula.mem st.miter_cnf c);
-        R.add_leaf st.global c)
+(* Return the solver and the query proof to the state of a new solver
+   over a new store with every graph node declared, and start the next
+   query. *)
+let begin_query g st =
+  R.clear st.qproof;
+  Veci.clear st.origin;
+  Solver.reset st.solver;
+  Solver.ensure_vars st.solver (Aig.num_nodes g);
+  st.epoch <- st.epoch + 1
 
-(* One query on a fresh solver over the query's cone.  Every graph
-   node is declared as a solver variable and sits in the decision heap,
-   but only the cone is walked and only its clauses are added, from the
-   engine's clause table, in ascending node order. *)
+let add_leaf st c origin =
+  let pid = R.append_leaf st.qproof c in
+  (* Chains appended in between (a clause false at level 0) need no
+     origin. *)
+  Veci.grow st.origin pid 0;
+  Veci.push st.origin origin;
+  Solver.add_derived_clause st.solver c pid;
+  pid
+
+(* A clause equal to one this query already holds is added again under
+   that leaf. *)
+let add_slot st i =
+  if st.slot_epoch.(i) = st.epoch then
+    Solver.add_derived_clause st.solver st.table.(i) st.slot_pid.(i)
+  else begin
+    st.slot_epoch.(i) <- st.epoch;
+    st.slot_pid.(i) <- add_leaf st st.table.(i) i
+  end
+
+let add_lemma st l =
+  if l.twin >= 0 && st.slot_epoch.(l.twin) = st.epoch then
+    Solver.add_derived_clause st.solver l.clause st.slot_pid.(l.twin)
+  else ignore (add_leaf st l.clause (-1 - l.root))
+
+let add_fanin_clauses st n =
+  for i = 3 * n to (3 * n) + 2 do
+    add_slot st i
+  done
+
+let global_of_origin st origin =
+  if origin < 0 then -1 - origin
+  else begin
+    let id = st.slot_global.(origin) in
+    if id >= 0 then id
+    else begin
+      let c = st.table.(origin) in
+      assert (Formula.mem st.miter_cnf c);
+      let id = R.add_leaf st.global c in
+      st.slot_global.(origin) <- id;
+      id
+    end
+  end
+
+(* Import a lifted derivation from the query proof into the global
+   proof: CNF clauses become global leaves, lemmas are replaced by
+   their derivations. *)
+let fresh_import st root =
+  R.import st.global st.qproof ~root ~map_leaf:(fun id _ ->
+      global_of_origin st (Veci.get st.origin id))
+
+(* One query over the candidates' cone.  Every graph node is declared
+   as a solver variable and sits in the decision heap, but only the
+   cone is walked and only its clauses are added, from the engine's
+   clause table, in ascending node order. *)
 let fresh_query g cfg st stats ~lits ~assumptions =
   stats.sat_calls <- stats.sat_calls + 1;
-  let qproof = R.create () in
-  let solver = Solver.create ~proof:qproof () in
-  st.epoch <- st.epoch + 1;
+  begin_query g st;
   let epoch = st.epoch in
   let cone = Aig.Cone.unmarked g ~marks:st.stamp ~mark:epoch lits in
   let in_cone v = v = 0 || st.stamp.(v) = epoch in
-  Solver.ensure_vars solver (Aig.num_nodes g);
-  Solver.add_clause solver Cnf.Tseitin.constant_unit;
-  Array.iter (fun n -> if Aig.is_and_node g n then add_definitions solver st.definitions n) cone;
-  if cfg.lemma_reuse then
-    Array.iter
-      (fun n ->
-        match Hashtbl.find_opt st.lemmas_by_max_var n with
-        | None -> ()
-        | Some lemmas ->
-          List.iter
-            (fun c ->
-              if Clause.fold (fun acc l -> acc && in_cone (Lit.var l)) true c then
-                Solver.add_clause solver c)
-            lemmas)
-      cone;
-  List.iter (fun l -> Solver.add_clause ~assumption:true solver (Clause.singleton l)) assumptions;
+  add_slot st 0;
+  Array.iter (fun n -> if Aig.is_and_node g n then add_fanin_clauses st n) cone;
+  if cfg.lemma_reuse then begin
+    let lit_in_cone l = in_cone (Lit.var l) in
+    let add_if_in_cone l =
+      if Array.for_all lit_in_cone (l.clause :> int array) then add_lemma st l
+    in
+    Array.iter (fun n -> List.iter add_if_in_cone st.lemmas_at.(n)) cone
+  end;
+  List.iter
+    (fun l -> Solver.add_clause ~assumption:true st.solver (Clause.singleton l))
+    assumptions;
   let result =
-    match Solver.solve ?max_conflicts:cfg.max_conflicts solver with
+    match Solver.solve ?max_conflicts:cfg.max_conflicts st.solver with
     | Solver.Sat model -> Countermodel (extract_inputs g model)
     | Solver.Unknown -> Budget
     | Solver.Unsat_assuming _ ->
       (* Assumptions are passed as clauses in this mode. *)
       assert false
     | Solver.Unsat root ->
-      let lifted_root, lemma = Proof.Lift.refutation qproof ~root in
-      let global_root = fresh_import st qproof lifted_root in
+      let lifted_root, lemma = Proof.Lift.refutation st.qproof ~root in
+      let global_root = fresh_import st lifted_root in
       st.sections <- (R.size st.global - 1) :: st.sections;
       Refuted (global_root, lemma)
   in
-  stats.conflicts <- stats.conflicts + Solver.num_conflicts solver;
+  stats.conflicts <- stats.conflicts + Solver.num_conflicts st.solver;
   result
 
+(* The final query: the whole miter CNF, in its own clause order, then
+   every lemma. *)
 let fresh_final g cfg st stats =
   stats.sat_calls <- stats.sat_calls + 1;
-  let qproof = R.create () in
-  let solver = Solver.create ~proof:qproof () in
-  Solver.add_formula solver st.miter_cnf;
-  if cfg.lemma_reuse then List.iter (Solver.add_clause solver) st.lemma_list;
+  begin_query g st;
+  add_slot st 0;
+  Aig.iter_ands g (fun n -> add_fanin_clauses st n);
+  add_slot st st.output_slot;
+  if cfg.lemma_reuse then List.iter (add_lemma st) st.lemma_list;
   let result =
-    match Solver.solve ?max_conflicts:cfg.max_conflicts solver with
+    match Solver.solve ?max_conflicts:cfg.max_conflicts st.solver with
     | Solver.Sat model -> Disproved (extract_inputs g model)
     | Solver.Unknown | Solver.Unsat_assuming _ ->
       stats.unknowns <- stats.unknowns + 1;
       Unresolved
     | Solver.Unsat root ->
-      let global_root = fresh_import st qproof root in
+      let global_root = fresh_import st root in
       Proved
         {
           proof = st.global;
@@ -306,20 +390,31 @@ let fresh_final g cfg st stats =
           boundaries = Array.of_list (List.rev st.sections);
         }
   in
-  stats.conflicts <- stats.conflicts + Solver.num_conflicts solver;
+  stats.conflicts <- stats.conflicts + Solver.num_conflicts st.solver;
   result
 
 let make_fresh_engine g cfg ~formula =
+  let table = tseitin_table g in
+  table.(0) <- Cnf.Tseitin.constant_unit;
+  if Aig.num_outputs g = 1 then table.(1) <- Clause.singleton (Aig.output g 0);
+  let qproof = R.create () in
   let st =
     {
       miter_cnf = formula;
-      definitions = tseitin_table g;
+      table;
+      output_slot = (if Clause.equal table.(1) table.(0) then 0 else 1);
+      slot_global = Array.make (Array.length table) (-1);
+      slot_epoch = Array.make (Array.length table) 0;
+      slot_pid = Array.make (Array.length table) 0;
       stamp = Array.make (Aig.num_nodes g) 0;
       epoch = 0;
+      solver = Solver.create ~proof:qproof ();
+      qproof;
+      origin = Veci.create ();
       global = R.create ();
-      lemma_root = Hashtbl.create 256;
+      registered = Hashtbl.create 256;
       lemma_list = [];
-      lemmas_by_max_var = Hashtbl.create 256;
+      lemmas_at = Array.make (Aig.num_nodes g) [];
       sections = [];
     }
   in

@@ -13,18 +13,23 @@
 (** Engine mode — how SAT queries map onto solver instances. *)
 type mode =
   | Perpair
-      (** a fresh throwaway solver per query over the candidates' fanin
-          cones, assumption-unit clauses, each refutation
-          {!Proof.Lift}ed and imported into a global store (the flow as
-          described in the paper).
+      (** one query per candidate over the candidates' fanin cones,
+          assumption-unit clauses, each refutation {!Proof.Lift}ed and
+          imported into a global store (the flow as described in the
+          paper).  Every query runs on the engine's one solver and query
+          proof store, reset before it ({!Sat.Solver.reset},
+          {!Proof.Resolution.clear}) to exactly the state of a new
+          solver: the search is fresh, only the memory is reused.
 
-          Cost of one query on an [N]-node miter: O(N) array slots to
-          declare every node as a solver variable (each one is in the
-          decision heap, so the search matches a solver loaded with the
-          whole miter's variables), O(cone) to walk the cone once and
-          add its clauses from a Tseitin clause table built once per
-          engine, then the search and the lift and import of its
-          refutation. *)
+          Cost of one query on an [N]-node miter: O(N) array-slot
+          writes, no allocation, to declare every node as a solver
+          variable again (each one is in the decision heap, so the
+          search matches a solver loaded with the whole miter's
+          variables), O(cone) to walk the cone once and add its clauses
+          from a Tseitin clause table built once per engine, then the
+          search and the lift and import of its refutation, which maps
+          each leaf to the global proof by the table slot or lemma it
+          came from. *)
   | Incremental
       (** one persistent solver per instance whose proof store {e is}
           the global proof — cone clauses loaded once on demand,

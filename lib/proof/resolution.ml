@@ -40,19 +40,26 @@ let append t n =
   t.size <- t.size + 1;
   t.size - 1
 
+let new_leaf t clause ~assumption =
+  Obs.Counter.incr t.o_leaves;
+  append t (Leaf { clause; assumption })
+
+let append_leaf t clause = new_leaf t clause ~assumption:false
+
 let add_leaf ?(assumption = false) t clause =
-  if assumption then begin
-    Obs.Counter.incr t.o_leaves;
-    append t (Leaf { clause; assumption = true })
-  end
+  if assumption then new_leaf t clause ~assumption
   else
     match Hashtbl.find_opt t.leaf_index clause with
     | Some id -> id
     | None ->
-      let id = append t (Leaf { clause; assumption = false }) in
+      let id = append_leaf t clause in
       Hashtbl.add t.leaf_index clause id;
-      Obs.Counter.incr t.o_leaves;
       id
+
+let clear t =
+  Array.fill t.nodes 0 t.size dummy;
+  t.size <- 0;
+  Hashtbl.clear t.leaf_index
 
 let add_chain t ~clause ~antecedents ~pivots =
   let n = Array.length antecedents in

@@ -32,6 +32,15 @@ val size : t -> int
     clause returns the existing id. *)
 val add_leaf : ?assumption:bool -> t -> Cnf.Clause.t -> id
 
+(** [append_leaf t clause] appends a new non-assumption leaf without
+    looking for an equal one, and without indexing it for {!add_leaf}:
+    for stores whose caller keeps track of its leaves itself. *)
+val append_leaf : t -> Cnf.Clause.t -> id
+
+(** [clear t] empties [t], keeping its allocation: ids restart at [0],
+    as in a new store. *)
+val clear : t -> unit
+
 (** [add_chain t ~clause ~antecedents ~pivots] appends a chain.
     @raise Invalid_argument unless
     [Array.length antecedents = Array.length pivots + 1 >= 2]

@@ -50,6 +50,10 @@ let insert t x =
     up t (Veci.size t.heap - 1)
   end
 
+let clear t =
+  Veci.iter (fun x -> Veci.set t.pos x (-1)) t.heap;
+  Veci.clear t.heap
+
 let pop t =
   if is_empty t then invalid_arg "Heap.pop: empty";
   let top = Veci.get t.heap 0 in

@@ -16,6 +16,9 @@ val mem : t -> int -> bool
 (** Insert a new element (no-op if present). *)
 val insert : t -> int -> unit
 
+(** Remove every element, keeping the allocated space. *)
+val clear : t -> unit
+
 (** Remove and return the maximum-score element.
     @raise Invalid_argument if empty. *)
 val pop : t -> int

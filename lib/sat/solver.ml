@@ -28,12 +28,15 @@ type t = {
   mutable reason : int array; (* arena index or -1 *)
   mutable activity : float array;
   mutable phase : bool array;
-  mutable seen : bool array; (* analyze scratch *)
+  mutable seen : bool array;
+      (* conflict-analysis scratch, shared by [analyze], [analyze_final]
+         and [derive_empty_at_level0]; all false between their calls *)
   mutable watches : Veci.t array; (* per literal; [no_watches] until first watched *)
   trail : Veci.t;
   trail_lim : Veci.t;
   mutable qhead : int;
   mutable order : Heap.t option; (* built lazily so [activity] can be swapped *)
+  mutable spare_order : Heap.t option; (* emptied by [reset]; the next build refills it *)
   mutable var_inc : float;
   mutable unsat_root : R.id option;
   learned_indices : Veci.t;
@@ -88,6 +91,7 @@ let create ?proof ?(reduce_base = 4000) () =
     trail_lim = Veci.create ();
     qhead = 0;
     order = None;
+    spare_order = None;
     var_inc = 1.0;
     unsat_root = None;
     learned_indices = Veci.create ();
@@ -126,7 +130,9 @@ let order s =
   match s.order with
   | Some h -> h
   | None ->
-    let h = Heap.create (fun v -> s.activity.(v)) in
+    let h =
+      match s.spare_order with Some h -> h | None -> Heap.create (fun v -> s.activity.(v))
+    in
     for v = 0 to s.nvars - 1 do
       Heap.insert h v
     done;
@@ -177,6 +183,51 @@ let new_var s =
   ensure_vars s (v + 1);
   v
 
+(* Back to the state [create] left, keeping every allocation: the
+   per-variable arrays are refilled where variables were declared,
+   watch lists emptied, the decision heap emptied (the next [order]
+   rebuilds it, as in a new solver) and the clause database and
+   counters dropped.  Registry handles and [reduce_base] stay. *)
+let reset s =
+  let n = s.nvars in
+  Array.fill s.assign 0 n (-1);
+  Array.fill s.level 0 n 0;
+  Array.fill s.reason 0 n (-1);
+  Array.fill s.activity 0 n 0.0;
+  Array.fill s.phase 0 n false;
+  Array.fill s.seen 0 n false;
+  for l = 0 to (2 * n) - 1 do
+    let w = s.watches.(l) in
+    if w != no_watches then Veci.clear w
+  done;
+  Array.fill s.arena 0 s.num_clauses dummy_clause;
+  s.num_clauses <- 0;
+  s.nvars <- 0;
+  Veci.clear s.trail;
+  Veci.clear s.trail_lim;
+  s.qhead <- 0;
+  (match s.order with
+  | Some h ->
+    Heap.clear h;
+    s.spare_order <- Some h;
+    s.order <- None
+  | None -> ());
+  s.var_inc <- 1.0;
+  s.unsat_root <- None;
+  Veci.clear s.learned_indices;
+  Veci.clear s.retired;
+  s.live_learned <- 0;
+  s.cla_inc <- 1.0;
+  s.reductions <- 0;
+  s.conflicts <- 0;
+  s.decisions <- 0;
+  s.propagations <- 0;
+  s.learned <- 0;
+  s.restarts <- 0;
+  Hashtbl.clear s.unit_pids
+
+let scratch_clear s = Array.for_all not s.seen
+
 (* Literal valuation: 1 true, 0 false, -1 unassigned. *)
 let lit_value s l =
   let a = s.assign.(Lit.var l) in
@@ -217,7 +268,10 @@ let watch s l ci =
 let derive_empty_at_level0 s start_clause start_pid =
   assert (decision_level s = 0);
   let chain_ants = ref [ start_pid ] and chain_pivots = ref [] in
-  let pending = Array.make s.nvars false in
+  (* [seen] marks the variables still to resolve away; each is on the
+     trail below the point the walk has reached, so the walk clears
+     every mark. *)
+  let pending = s.seen in
   Array.iter
     (fun l ->
       assert (lit_value s l = 0);
@@ -405,7 +459,6 @@ let analyze s confl_idx =
   assert (dl > 0);
   let learnt = Veci.create () in
   let to_clear = Veci.create () in
-  let zero_pending = Veci.create () in
   let chain_ants = ref [ (clause_ref s confl_idx).pid ] in
   let chain_pivots = ref [] in
   let counter = ref 0 in
@@ -413,9 +466,8 @@ let analyze s confl_idx =
     let v = Lit.var q in
     if not s.seen.(v) then begin
       s.seen.(v) <- true;
-      Veci.push to_clear v;
-      if s.level.(v) = 0 then Veci.push zero_pending v
-      else begin
+      if s.level.(v) > 0 then begin
+        Veci.push to_clear v;
         bump_var s v;
         if s.level.(v) = dl then incr counter else Veci.push learnt q
       end
@@ -465,19 +517,29 @@ let analyze s confl_idx =
   in
   let kept = Veci.create () and removed = Veci.create () in
   Veci.iter (fun q -> if removable q then Veci.push removed q else Veci.push kept q) learnt;
-  (* Unmark removed vars so later redundancy checks cannot rely on
-     them... except removal is single-pass over the original marks, so
-     order-independence requires leaving marks; instead re-validate:
-     a removed literal whose reason mentions another removed literal is
-     fine (it is eliminated later in the chain), so marks stay. *)
-  (* Resolve removed literals away, deepest trail position first. *)
-  let removed = Veci.to_array removed in
-  let trail_pos = Hashtbl.create 16 in
-  Veci.iteri (fun i l -> Hashtbl.replace trail_pos (Lit.var l) i) s.trail;
-  Array.sort
-    (fun a b -> compare (Hashtbl.find trail_pos (Lit.var b)) (Hashtbl.find trail_pos (Lit.var a)))
-    removed;
-  Array.iter
+  (* Marks stay on removed literals: removal is decided in one pass over
+     the original marks, and a removed literal whose reason mentions
+     another removed literal is fine (that one is eliminated later in
+     the chain). *)
+  (* Resolve removed literals away, deepest trail position first.  Every
+     level-[dl] mark was consumed above, so with the kept literals
+     unmarked for a moment the marked variables above level 0 are
+     exactly the removed ones, met in that order by a walk down the
+     trail from the top of level [dl - 1]. *)
+  let nremoved = Veci.size removed in
+  if nremoved > 0 then begin
+    Veci.iter (fun q -> s.seen.(Lit.var q) <- false) kept;
+    Veci.clear removed;
+    let idx = ref (Veci.get s.trail_lim (dl - 1) - 1) in
+    while Veci.size removed < nremoved do
+      let t = Veci.get s.trail !idx in
+      let v = Lit.var t in
+      if s.seen.(v) && s.level.(v) > 0 then Veci.push removed (Lit.neg t);
+      decr idx
+    done;
+    Veci.iter (fun q -> s.seen.(Lit.var q) <- true) kept
+  end;
+  Veci.iter
     (fun q ->
       let v = Lit.var q in
       let cr = clause_ref s s.reason.(v) in
@@ -489,29 +551,28 @@ let analyze s confl_idx =
           if u <> v && not s.seen.(u) then begin
             (* Only level-0 literals can be unmarked here. *)
             assert (s.level.(u) = 0);
-            s.seen.(u) <- true;
-            Veci.push to_clear u;
-            Veci.push zero_pending u
+            s.seen.(u) <- true
           end)
         cr.lits)
     removed;
   (* Eliminate level-0 literals by resolving with their reasons in
-     reverse trail order. *)
-  let zero_set = Array.make s.nvars false in
-  Veci.iter (fun v -> zero_set.(v) <- true) zero_pending;
+     reverse trail order.  With the marks above level 0 cleared, the
+     marked variables are the level-0 ones still to eliminate; each
+     reason's other literals sit lower on the trail, so the walk clears
+     every mark. *)
+  Veci.iter (fun v -> s.seen.(v) <- false) to_clear;
   let zero_bound = if Veci.size s.trail_lim > 0 then Veci.get s.trail_lim 0 else Veci.size s.trail in
   for tidx = zero_bound - 1 downto 0 do
     let tl = Veci.get s.trail tidx in
     let v = Lit.var tl in
-    if zero_set.(v) then begin
-      zero_set.(v) <- false;
+    if s.seen.(v) then begin
+      s.seen.(v) <- false;
       let cr = clause_ref s s.reason.(v) in
       chain_ants := cr.pid :: !chain_ants;
       chain_pivots := v :: !chain_pivots;
-      Array.iter (fun r -> if Lit.var r <> v then zero_set.(Lit.var r) <- true) cr.lits
+      Array.iter (fun r -> if Lit.var r <> v then s.seen.(Lit.var r) <- true) cr.lits
     end
   done;
-  Veci.iter (fun v -> s.seen.(v) <- false) to_clear;
   let final_lits = uip_lit :: Veci.to_list kept in
   let clause = Clause.of_list final_lits in
   let antecedents = Array.of_list (List.rev !chain_ants) in
@@ -623,7 +684,9 @@ let analyze_final s l =
   else begin
   let cr0 = clause_ref s r0 in
   let chain_ants = ref [ cr0.pid ] and chain_pivots = ref [] in
-  let pending = Array.make s.nvars false in
+  (* [seen] marks the variables still to explain; all were assigned
+     before the walk reaches them, so it clears every mark. *)
+  let pending = s.seen in
   let kept = ref [ Lit.neg l ] in
   Array.iter (fun q -> if Lit.var q <> v0 then pending.(Lit.var q) <- true) cr0.lits;
   for idx = Veci.size s.trail - 1 downto 0 do
@@ -732,8 +795,8 @@ let solve ?max_conflicts ?(assumptions = []) s =
   | None ->
     cancel_until s 0;
     (* Learned clauses still live from previous [solve] calls — the
-       carried-knowledge payoff of incremental use (0 on every call for
-       a throwaway per-query solver). *)
+       carried-knowledge payoff of incremental use (0 on every call of
+       a solver created or reset per query). *)
     Obs.Counter.add s.o_carried s.live_learned;
     let assumptions = Array.of_list assumptions in
     Array.iter (fun l -> ensure_vars s (Lit.var l + 1)) assumptions;

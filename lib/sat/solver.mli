@@ -59,10 +59,26 @@ val new_var : t -> int
     watches it. *)
 val ensure_vars : t -> int -> unit
 
+(** [reset t] returns [t] to the state of [create ~proof:(proof t)]
+    with [t]'s [reduce_base], without allocating: the per-variable
+    arrays keep their capacity and are refilled, watch lists are
+    emptied but kept, the decision heap is emptied and rebuilt as a new
+    solver's would be, and the clause database and every counter are
+    dropped, so the same calls then give the same search, counters and
+    proof nodes as on a new solver.  The proof store is left alone
+    (clear it with {!Proof.Resolution.clear}), and the ambient-registry
+    handles stay those resolved at [create]. *)
+val reset : t -> unit
+
 (** Length of the one watch list shared by every literal that no clause
     has watched yet, across all solvers.  Nothing writes to it, so this
     is always [0]. *)
 val shared_watch_list_size : unit -> int
+
+(** Whether the conflict-analysis scratch (one flag per variable,
+    shared by learning, final-conflict analysis and root-level
+    refutation) is all clear, as it must be between calls.  For tests. *)
+val scratch_clear : t -> bool
 
 val num_vars : t -> int
 
@@ -71,9 +87,10 @@ val num_vars : t -> int
     Clauses may be added between [solve] calls (incremental use). *)
 val add_clause : ?assumption:bool -> t -> Cnf.Clause.t -> unit
 
-(** [add_derived_clause t c pid] adds a clause whose derivation already
-    exists in [proof t] at [pid] — a proved lemma.  No leaf is created,
-    so proofs using the clause stitch through its derivation. *)
+(** [add_derived_clause t c pid] adds a clause whose proof node already
+    exists in [proof t] at [pid] — a proved lemma, or a leaf the caller
+    appended itself.  No node is created, so proofs using the clause
+    stitch through [pid]. *)
 val add_derived_clause : t -> Cnf.Clause.t -> Proof.Resolution.id -> unit
 
 (** Add every clause of a formula (none marked as assumptions), and

@@ -219,38 +219,39 @@ let test_cut_parameter_validation () =
 
 (* --- hostile AIGER through the CLI --- *)
 
+let write_temp text =
+  let path = Filename.temp_file "cecproof-hostile" ".aag" in
+  Out_channel.with_open_bin path (fun oc -> output_string oc text);
+  path
+
+(* Exit code of one [cec_tool] run, its output discarded. *)
+let cli_exit_code args =
+  let tool = Filename.concat (Filename.dirname Sys.executable_name) "../bin/cec_tool.exe" in
+  let null = Unix.openfile Filename.null [ Unix.O_WRONLY ] 0 in
+  let pid =
+    Fun.protect
+      ~finally:(fun () -> Unix.close null)
+      (fun () -> Unix.create_process tool (Array.of_list (tool :: args)) Unix.stdin null null)
+  in
+  match Unix.waitpid [] pid with
+  | _, Unix.WEXITED code -> code
+  | _ -> Alcotest.failf "cec_tool %s died on a signal" (String.concat " " args)
+
 (* A header M far beyond the body, a latch literal above M and
    negative binary header counts: every subcommand reading them must
    answer with one of its own exit codes (0-4), never an escaped
    exception (cmdliner's 125). *)
 let test_cli_hostile_aiger () =
-  let tool = Filename.concat (Filename.dirname Sys.executable_name) "../bin/cec_tool.exe" in
-  let write text =
-    let path = Filename.temp_file "cecproof-hostile" ".aag" in
-    Out_channel.with_open_bin path (fun oc -> output_string oc text);
-    path
-  in
-  let huge = write "aag 99999999999 0 0 0 0\n" in
-  let latch = write "aag 1 0 1 0 0\n100 0\n" in
-  let negative_outputs = write "aig 0 0 0 -1 0\n" in
-  let negative_counts = write "aig -5 -5 0 0 0\n" in
-  let exit_code args =
-    let null = Unix.openfile Filename.null [ Unix.O_WRONLY ] 0 in
-    let pid =
-      Fun.protect
-        ~finally:(fun () -> Unix.close null)
-        (fun () -> Unix.create_process tool (Array.of_list (tool :: args)) Unix.stdin null null)
-    in
-    match Unix.waitpid [] pid with
-    | _, Unix.WEXITED code -> code
-    | _ -> Alcotest.failf "cec_tool %s died on a signal" (String.concat " " args)
-  in
+  let huge = write_temp "aag 99999999999 0 0 0 0\n" in
+  let latch = write_temp "aag 1 0 1 0 0\n100 0\n" in
+  let negative_outputs = write_temp "aig 0 0 0 -1 0\n" in
+  let negative_counts = write_temp "aig -5 -5 0 0 0\n" in
   Fun.protect
     ~finally:(fun () -> List.iter Sys.remove [ huge; latch; negative_outputs; negative_counts ])
     (fun () ->
       List.iter
         (fun args ->
-          let code = exit_code args in
+          let code = cli_exit_code args in
           if code > 4 then Alcotest.failf "cec_tool %s exited %d" (String.concat " " args) code)
         [
           [ "cec"; huge; huge ];
@@ -263,6 +264,34 @@ let test_cli_hostile_aiger () =
           [ "stats"; negative_counts ];
           [ "cec"; negative_counts; negative_counts ];
         ])
+
+(* A binary header's input count has no lines to bound it, and its
+   output and AND counts must fit the bytes after the header: past
+   [Aiger.max_binary_inputs] inputs, or more outputs and ANDs than
+   those bytes hold, the reader answers [Parse_error] before it
+   allocates anything, and [cec_tool stats] exits 2 (four billion
+   inputs used to escape as [Out_of_memory], exit 125). *)
+let test_binary_header_bounds () =
+  let cap = Aig.Aiger.max_binary_inputs in
+  let rejects what text =
+    match Aig.Aiger.of_string text with
+    | _ -> Alcotest.failf "%s: accepted" what
+    | exception Aig.Aiger.Parse_error _ -> ()
+  in
+  rejects "four billion inputs" "aig 4000000000 4000000000 0 0 0\n";
+  rejects "one input over the cap" (Printf.sprintf "aig %d %d 0 0 0\n" (cap + 1) (cap + 1));
+  rejects "four billion ANDs" "aig 4000000000 0 0 0 4000000000\n";
+  rejects "more ANDs than bytes" "aig 2 0 0 0 2\n\002\001\001";
+  rejects "more outputs than bytes" "aig 0 0 0 3 0\n0\n1\n";
+  rejects "negative output literal" "aig 1 1 0 1 0\n-1\n";
+  Alcotest.(check int) "inputs at the cap" cap
+    (Aig.num_inputs (Aig.Aiger.of_string (Printf.sprintf "aig %d %d 0 0 0\n" cap cap)));
+  let g = Aig.Aiger.of_string "aig 3 2 0 2 1\n6\n7\n\002\002" in
+  Alcotest.(check (pair int int)) "outputs and ANDs that fit" (2, 1) (Aig.num_outputs g, Aig.num_ands g);
+  let hostile = write_temp "aig 4000000000 4000000000 0 0 0\n" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove hostile)
+    (fun () -> Alcotest.(check int) "stats exit code" 2 (cli_exit_code [ "stats"; hostile ]))
 
 let suites =
   [
@@ -286,5 +315,6 @@ let suites =
         Alcotest.test_case "bdd ite" `Quick test_bdd_ite_and_eval;
         Alcotest.test_case "cut parameters" `Quick test_cut_parameter_validation;
         Alcotest.test_case "hostile aiger through the cli" `Quick test_cli_hostile_aiger;
+        Alcotest.test_case "binary header counts bounded" `Quick test_binary_header_bounds;
       ] );
   ]

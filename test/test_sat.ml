@@ -438,4 +438,119 @@ let reduction_suites =
       ] );
   ]
 
-let suites = base_suites @ assumption_suites @ reduction_suites
+(* --- a reset solver is a new solver --- *)
+
+(* One instance of the reset property: a random CNF, some of its units
+   added as assumption leaves, over a solver declaring [declared]
+   variables, solved once under native [assumptions] and a conflict
+   [budget].  [kind] steers it towards one outcome: 0 sparse (Sat),
+   1 dense (Unsat), 2 under assumptions (Unsat_assuming), 3 a pigeonhole
+   on a budget of a few conflicts (Unknown). *)
+type instance = {
+  declared : int;
+  clauses : (Clause.t * bool) list; (* clause, added as an assumption leaf *)
+  assumptions : Lit.t list;
+  budget : int option;
+}
+
+let random_instance rng kind =
+  let nvars = 4 + Support.Rng.int rng 6 in
+  let random_lit () = Lit.make (Support.Rng.int rng nvars) ~neg:(Support.Rng.bool rng) in
+  let base =
+    match kind with
+    | 0 -> random_3cnf rng nvars (2 * nvars)
+    | 1 -> random_3cnf rng nvars (7 * nvars)
+    | 2 -> random_3cnf rng nvars (3 * nvars)
+    | _ ->
+      (* php(4,3): refuting it takes more conflicts than the budget. *)
+      let v i h = (i * 3) + h in
+      List.init 4 (fun i -> Clause.of_list (List.init 3 (fun h -> lit (v i h))))
+      @ List.concat_map
+          (fun h ->
+            List.concat_map
+              (fun i ->
+                List.init (3 - i) (fun d -> Clause.of_list [ nlit (v i h); nlit (v (i + d + 1) h) ]))
+              [ 0; 1; 2 ])
+          [ 0; 1; 2 ]
+  in
+  let leaves =
+    if kind = 3 then []
+    else List.init (Support.Rng.int rng 3) (fun _ -> (Clause.singleton (random_lit ()), true))
+  in
+  {
+    declared = 12 + Support.Rng.int rng 40;
+    clauses = List.map (fun c -> (c, false)) base @ leaves;
+    (* Kind 2 may name both polarities of a variable. *)
+    assumptions = (if kind = 2 then List.init (1 + Support.Rng.int rng 4) (fun _ -> random_lit ()) else []);
+    budget = (if kind = 3 then Some (Support.Rng.int rng 3) else None);
+  }
+
+let outcomes_seen = Hashtbl.create 4
+
+(* Everything a caller can observe of one solve. *)
+let run_instance s inst =
+  Solver.ensure_vars s inst.declared;
+  List.iter (fun (c, assumption) -> Solver.add_clause ~assumption s c) inst.clauses;
+  let outcome =
+    match Solver.solve ?max_conflicts:inst.budget ~assumptions:inst.assumptions s with
+    | Solver.Sat model -> ("sat", Array.to_list (Array.map Bool.to_int model))
+    | Solver.Unsat root -> ("unsat", [ root ])
+    | Solver.Unsat_assuming { clause; pid } ->
+      ("unsat-assuming", pid :: Array.to_list (Clause.lits clause))
+    | Solver.Unknown -> ("unknown", [])
+  in
+  Hashtbl.replace outcomes_seen (fst outcome) ();
+  if not (Solver.scratch_clear s) then
+    QCheck.Test.fail_reportf "analysis scratch left marked after %s" (fst outcome);
+  let nodes = ref [] in
+  R.iter (fun id n -> nodes := (id, n) :: !nodes) (Solver.proof s);
+  ( outcome,
+    [
+      Solver.num_vars s; Solver.num_conflicts s; Solver.num_decisions s;
+      Solver.num_propagations s; Solver.num_learned s; Solver.num_restarts s;
+    ],
+    Array.to_list (Solver.trim_hints s),
+    !nodes )
+
+let reset_matches_new seed =
+  let rng = Support.Rng.create seed in
+  let instances = List.init 8 (fun i -> random_instance rng ((seed + i) mod 4)) in
+  (* A low reduction threshold makes the reset solver carry a deleted
+     clause database into the next instance. *)
+  let reduce_base = 4 in
+  let fresh_reg = Obs.Registry.create () and reset_reg = Obs.Registry.create () in
+  let recycled = Obs.with_ambient reset_reg (fun () -> Solver.create ~reduce_base ()) in
+  List.iteri
+    (fun i inst ->
+      let fresh =
+        Obs.with_ambient fresh_reg (fun () -> run_instance (Solver.create ~reduce_base ()) inst)
+      in
+      R.clear (Solver.proof recycled);
+      Solver.reset recycled;
+      let again = Obs.with_ambient reset_reg (fun () -> run_instance recycled inst) in
+      if fresh <> again then
+        QCheck.Test.fail_reportf "seed %d, instance %d: the reset solver differs from a new one" seed i)
+    instances;
+  if Obs.Registry.counters fresh_reg <> Obs.Registry.counters reset_reg then
+    QCheck.Test.fail_reportf "seed %d: registry counters differ" seed;
+  true
+
+let test_reset_outcomes_covered () =
+  List.iter
+    (fun o -> Alcotest.(check bool) (o ^ " reached") true (Hashtbl.mem outcomes_seen o))
+    [ "sat"; "unsat"; "unsat-assuming"; "unknown" ]
+
+let reset_suites =
+  [
+    ( "sat-reset",
+      [
+        QCheck_alcotest.to_alcotest
+          (QCheck.Test.make ~name:"reset solver matches a new one" ~count:150
+             (QCheck.make ~print:string_of_int QCheck.Gen.nat)
+             reset_matches_new);
+        Alcotest.test_case "reset property reached every outcome" `Quick
+          test_reset_outcomes_covered;
+      ] );
+  ]
+
+let suites = base_suites @ assumption_suites @ reduction_suites @ reset_suites

@@ -1,7 +1,7 @@
 (* Differential harness for the two sweeping engine modes.
 
-   The per-pair engine (fresh solver per query, lift + import) and the
-   incremental engine (one persistent solver whose proof store is the
+   The per-pair engine (one solver reset before every query, lift +
+   import) and the incremental engine (one persistent solver whose proof store is the
    global proof) must be observationally identical: same verdicts on
    every instance, certificates that pass both the random-access and
    the streaming checker, and counterexamples that replay on the miter.
@@ -269,6 +269,32 @@ let test_contradictory_assumptions_regression () =
       (Clause.fold (fun acc l -> acc && (l = nlit 0 || l = lit 1)) true clause)
   | _ -> Alcotest.fail "expected clause-driven Unsat_assuming"
 
+(* --- per-pair engines share nothing --- *)
+
+(* Each per-pair engine owns its solver and query proof and resets them
+   before every query, so nothing carries from one engine to the next:
+   two runs of one miter, with a fraig of another graph in between, give
+   the same certificate bytes.  The miter's lemmas include fanin
+   clauses of their own nodes, which queries add under the fanin
+   clause's leaf. *)
+let test_perpair_runs_repeat () =
+  let pair name =
+    let case = Option.get (Suite.find name) in
+    (case.Suite.golden (), case.Suite.revised ())
+  in
+  let golden, revised = pair "mux5-rewr" in
+  let miter = Aig.Miter.build golden revised in
+  let certificate () =
+    match Sweep.run miter (cfg Sweep.Perpair) with
+    | Sweep.Proved { proof; root; _ }, _ -> Proof.Export.trace_to_string proof ~root
+    | (Sweep.Disproved _ | Sweep.Unresolved), _ -> Alcotest.fail "mux5-rewr not proved"
+  in
+  let first = certificate () in
+  let other_golden, other_revised = pair "add8-rc-cla" in
+  let _, fraig_stats = Sweep.fraig (Aig.Miter.build other_golden other_revised) (cfg Sweep.Perpair) in
+  Alcotest.(check bool) "the fraig in between made queries" true (fraig_stats.Sweep.sat_calls > 0);
+  Alcotest.(check string) "same trace certificate" first (certificate ())
+
 (* --- full-stack smoke in both modes --- *)
 
 (* The parallel checker and the service engine, each driven once per
@@ -314,6 +340,7 @@ let suites =
         Alcotest.test_case "contradictory assumptions" `Quick
           test_contradictory_assumptions_regression;
         Alcotest.test_case "stack smoke in both modes" `Quick test_stack_smoke_both_modes;
+        Alcotest.test_case "per-pair runs repeat around a fraig" `Quick test_perpair_runs_repeat;
         prop_random_differential;
         prop_incremental_chain_ids;
         prop_incremental_trace_fuzz;
