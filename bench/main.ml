@@ -163,7 +163,8 @@ let t4 () =
       time (fun () -> Proof.Trim.cone cert.Cec.proof ~root:cert.Cec.root)
     in
     let check_result, check_t =
-      time (fun () -> Proof.Checker.check trimmed ~root:troot ~formula:cert.Cec.formula ())
+      time (fun () ->
+          Proof.Checker.check trimmed ~root:troot ~leaf_ok:(Cnf.Tseitin.miter_mem cert.Cec.miter) ())
     in
     let ok = match check_result with Ok _ -> "ok" | Error _ -> "FAIL" in
     let pct = 100.0 *. float_of_int (total - reachable) /. float_of_int (max total 1) in
@@ -242,7 +243,8 @@ let f2 () =
         let s = Pstats.of_root cert.Cec.proof ~root:cert.Cec.root in
         let result, check_t =
           time (fun () ->
-              Proof.Checker.check cert.Cec.proof ~root:cert.Cec.root ~formula:cert.Cec.formula ())
+              Proof.Checker.check cert.Cec.proof ~root:cert.Cec.root
+                ~leaf_ok:(Cnf.Tseitin.miter_mem cert.Cec.miter) ())
         in
         let ok = match result with Ok _ -> "ok" | Error _ -> "FAIL" in
         [
@@ -374,7 +376,8 @@ let f5 () =
         in
         let shared, sroot = Proof.Compress.share cert.Cec.proof ~root:cert.Cec.root in
         let ok =
-          match Proof.Checker.check shared ~root:sroot ~formula:cert.Cec.formula () with
+          let leaf_ok = Cnf.Tseitin.miter_mem cert.Cec.miter in
+          match Proof.Checker.check shared ~root:sroot ~leaf_ok () with
           | Ok _ -> "ok"
           | Error _ -> "FAIL"
         in
@@ -777,7 +780,7 @@ let p4 () =
               | Cec.Inequivalent _ | Cec.Undecided -> failwith "benchmark case not proved (bug)"
             in
             let proof = cert.Cec.proof and root = cert.Cec.root in
-            let formula = cert.Cec.formula in
+            let leaf_ok = Cnf.Tseitin.miter_mem cert.Cec.miter in
             let ascii, t_ascii_enc =
               time (fun () ->
                   let trimmed, troot = Proof.Trim.cone proof ~root in
@@ -787,13 +790,13 @@ let p4 () =
             let chains_checked, t_ascii_chk =
               time (fun () ->
                   let p, r = Proof.Export.trace_of_string ascii in
-                  match Proof.Checker.check p ~root:r ~formula () with
+                  match Proof.Checker.check p ~root:r ~leaf_ok () with
                   | Ok chains -> chains
                   | Error e -> failwith (Format.asprintf "ascii check failed: %a" Proof.Checker.pp_error e))
             in
             let st, t_bin_chk =
               time (fun () ->
-                  match Proof.Stream_check.check ~formula bin with
+                  match Proof.Stream_check.check ~leaf_ok bin with
                   | Ok st -> st
                   | Error e ->
                     failwith (Format.asprintf "binary check failed: %a" Proof.Stream_check.pp_error e))
@@ -1547,12 +1550,12 @@ let p10 () =
               match Service.Store.find store key ~golden ~revised with
               | Some (Cec.Equivalent cert) ->
                 found := true;
-                let formula = Cnf.Tseitin.miter_formula (Aig.Miter.build golden revised) in
+                let leaf_ok = Cnf.Tseitin.miter_mem (Aig.Miter.build golden revised) in
                 let bin =
                   Proof.Binfmt.encode_hinted ~boundaries:cert.Cec.boundaries cert.Cec.proof
                     ~root:cert.Cec.root
                 in
-                (match Proof.Hint_check.check ~formula ~jobs:2 bin with
+                (match Proof.Hint_check.check ~leaf_ok ~jobs:2 bin with
                 | Ok _ -> incr certs_checked
                 | Error e ->
                   failwith
@@ -1640,7 +1643,7 @@ let p8 () =
               | Cec.Equivalent cert -> cert
               | Cec.Inequivalent _ | Cec.Undecided -> failwith "benchmark case not proved (bug)"
             in
-            let formula = cert.Cec.formula in
+            let leaf_ok = Cnf.Tseitin.miter_mem cert.Cec.miter in
             let bin, _t_enc =
               time (fun () ->
                   Proof.Binfmt.encode_hinted ~boundaries:cert.Cec.boundaries cert.Cec.proof
@@ -1648,7 +1651,7 @@ let p8 () =
             in
             let stream_st, t_stream =
               time (fun () ->
-                  match Proof.Stream_check.check ~formula bin with
+                  match Proof.Stream_check.check ~leaf_ok bin with
                   | Ok st -> st
                   | Error e ->
                     failwith
@@ -1656,7 +1659,7 @@ let p8 () =
             in
             let hint ~jobs =
               time (fun () ->
-                  match Proof.Hint_check.check ~formula ~jobs bin with
+                  match Proof.Hint_check.check ~leaf_ok ~jobs bin with
                   | Ok st -> st
                   | Error e ->
                     failwith
@@ -1752,7 +1755,8 @@ let bechamel_tests () =
       (Staged.stage (fun () ->
            let cert = Lazy.force small_cert in
            ignore
-             (Proof.Checker.check cert.Cec.proof ~root:cert.Cec.root ~formula:cert.Cec.formula ())));
+             (Proof.Checker.check cert.Cec.proof ~root:cert.Cec.root
+                ~leaf_ok:(Cnf.Tseitin.miter_mem cert.Cec.miter) ())));
     Test.make ~name:"f3-simclass"
       (Staged.stage (fun () -> ignore (Simclass.create small_miter ~words:8 ~seed:1)));
     Test.make ~name:"f4-sweep-no-lemmas"

@@ -294,16 +294,18 @@ let run_check_proof miter_path trace_path jobs =
     | exception Sys_error msg ->
       prerr_endline msg;
       2
-    | text when Proof.Binfmt.is_hinted text -> (
-      (* Hinted CECB certificate: follow the stored pivots — no search
-         — and check the shards on [jobs] domains.  Same exit contract:
-         corruption 2, well-formed-but-invalid 3. *)
-      match Cnf.Tseitin.miter_formula miter with
+    | text -> (
+      (* Every leaf must be a clause of the miter's CNF, decided on the
+         netlist itself: the CNF is never built. *)
+      match Cnf.Tseitin.miter_mem miter with
       | exception Invalid_argument msg ->
         prerr_endline msg;
         2
-      | formula -> (
-        match Proof.Hint_check.check ~formula ~jobs text with
+      | leaf_ok when Proof.Binfmt.is_hinted text -> (
+        (* Hinted CECB certificate: follow the stored pivots — no search
+           — and check the shards on [jobs] domains.  Same exit contract:
+           corruption 2, well-formed-but-invalid 3. *)
+        match Proof.Hint_check.check ~leaf_ok ~jobs text with
         | Ok st ->
           Format.printf
             "OK: %d chains verified against %s (hinted, %d steps on %d shard(s), peak %d of %d \
@@ -317,17 +319,12 @@ let run_check_proof miter_path trace_path jobs =
           2
         | Error e ->
           Format.printf "REJECTED: %a@." Proof.Hint_check.pp_error e;
-          3))
-    | text when Proof.Binfmt.is_binary text -> (
-      (* CECB binary certificate: validate in one bounded-memory pass.
-         Byte-level corruption exits 2 (parse error), a well-formed but
-         invalid proof exits 3 — same contract as the ASCII path. *)
-      match Cnf.Tseitin.miter_formula miter with
-      | exception Invalid_argument msg ->
-        prerr_endline msg;
-        2
-      | formula -> (
-        match Proof.Stream_check.check ~formula text with
+          3)
+      | leaf_ok when Proof.Binfmt.is_binary text -> (
+        (* CECB binary certificate: validate in one bounded-memory pass.
+           Byte-level corruption exits 2 (parse error), a well-formed but
+           invalid proof exits 3 — same contract as the ASCII path. *)
+        match Proof.Stream_check.check ~leaf_ok text with
         | Ok st ->
           Format.printf "OK: %d chains verified against %s (binary, peak %d of %d nodes live)@."
             st.Proof.Stream_check.chains miter_path st.Proof.Stream_check.peak_live
@@ -339,32 +336,24 @@ let run_check_proof miter_path trace_path jobs =
           2
         | Error e ->
           Format.printf "REJECTED: %a@." Proof.Stream_check.pp_error e;
-          3))
-    | text -> (
-    (* A malformed trace must exit cleanly (code 2) with a parse-error
-       message, never an uncaught exception: [trace_of_string] raises
-       [Failure] on syntax errors and [Invalid_argument] on dangling
-       antecedent ids. *)
-    match Proof.Export.trace_of_string text with
-    | exception Failure msg ->
-      Printf.eprintf "%s: parse error: %s\n" trace_path msg;
-      2
-    | exception Invalid_argument msg ->
-      Printf.eprintf "%s: parse error: %s\n" trace_path msg;
-      2
-    | proof, root -> (
-      match Cnf.Tseitin.miter_formula miter with
-      | exception Invalid_argument msg ->
-        prerr_endline msg;
-        2
-      | formula -> (
-        match Proof.Checker.check proof ~root ~formula () with
-        | Ok chains ->
-          Format.printf "OK: %d chains verified against %s@." chains miter_path;
-          0
-        | Error e ->
-          Format.printf "REJECTED: %a@." Proof.Checker.pp_error e;
-          3))))
+          3)
+      | leaf_ok -> (
+        (* A malformed trace must exit cleanly (code 2) with a
+           parse-error message, never an uncaught exception:
+           [trace_of_string] raises [Failure] on syntax errors and
+           [Invalid_argument] on dangling antecedent ids. *)
+        match Proof.Export.trace_of_string text with
+        | exception (Failure msg | Invalid_argument msg) ->
+          Printf.eprintf "%s: parse error: %s\n" trace_path msg;
+          2
+        | proof, root -> (
+          match Proof.Checker.check proof ~root ~leaf_ok () with
+          | Ok chains ->
+            Format.printf "OK: %d chains verified against %s@." chains miter_path;
+            0
+          | Error e ->
+            Format.printf "REJECTED: %a@." Proof.Checker.pp_error e;
+            3))))
 
 let run_fraig path words output =
   match read_aiger path with

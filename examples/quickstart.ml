@@ -20,7 +20,7 @@ let () =
     Format.printf "verdict: EQUIVALENT@.";
     let stats = Proof.Pstats.of_root cert.Cec.proof ~root:cert.Cec.root in
     Format.printf "stitched proof: %a@." Proof.Pstats.pp stats;
-    (* Re-check the certificate against a miter CNF rebuilt from the
+    (* Re-check the certificate against a miter rebuilt from the
        circuits: nothing is trusted from the solver run. *)
     (match Certify.validate_against cert golden revised with
     | Ok chains -> Format.printf "certificate validated: %d chains re-derived@." chains

@@ -2,19 +2,38 @@ exception Parse_error of string
 
 let fail fmt = Printf.ksprintf (fun s -> raise (Parse_error s)) fmt
 
+(* Hand-rolled rather than [Printf.bprintf]: service keys digest this
+   text for every request, and the bytes are the same. *)
 let to_buffer buf g =
+  let int n = Buffer.add_string buf (string_of_int n) in
+  let sep c n =
+    Buffer.add_char buf c;
+    int n
+  in
   let num_inputs = Graph.num_inputs g in
   let num_ands = Graph.num_ands g in
-  let max_var = num_inputs + num_ands in
-  Printf.bprintf buf "aag %d %d 0 %d %d\n" max_var num_inputs (Graph.num_outputs g) num_ands;
+  Buffer.add_string buf "aag";
+  sep ' ' (num_inputs + num_ands);
+  sep ' ' num_inputs;
+  Buffer.add_string buf " 0";
+  sep ' ' (Graph.num_outputs g);
+  sep ' ' num_ands;
+  Buffer.add_char buf '\n';
   for i = 0 to num_inputs - 1 do
-    Printf.bprintf buf "%d\n" (Graph.input g i)
+    int (Graph.input g i);
+    Buffer.add_char buf '\n'
   done;
-  Array.iter (fun l -> Printf.bprintf buf "%d\n" l) (Graph.outputs g);
+  Array.iter
+    (fun l ->
+      int l;
+      Buffer.add_char buf '\n')
+    (Graph.outputs g);
   Graph.iter_ands g (fun n ->
-      let f0 = Graph.fanin0 g n and f1 = Graph.fanin1 g n in
       (* The format wants rhs0 >= rhs1; the graph stores f0 <= f1. *)
-      Printf.bprintf buf "%d %d %d\n" (Lit.of_var n) f1 f0)
+      int (Lit.of_var n);
+      sep ' ' (Graph.fanin1 g n);
+      sep ' ' (Graph.fanin0 g n);
+      Buffer.add_char buf '\n')
 
 let to_string g =
   let buf = Buffer.create 4096 in
@@ -237,15 +256,5 @@ let of_string text =
   if String.length text >= 4 && String.sub text 0 4 = "aig " then of_binary_string text
   else of_ascii_string text
 
-let read_channel ic =
-  let buf = Buffer.create 4096 in
-  (try
-     while true do
-       Buffer.add_channel buf ic 1
-     done
-   with End_of_file -> ());
-  of_string (Buffer.contents buf)
-
-let read_file path =
-  let ic = open_in path in
-  Fun.protect ~finally:(fun () -> close_in ic) (fun () -> read_channel ic)
+let read_channel ic = of_string (In_channel.input_all ic)
+let read_file path = of_string (In_channel.with_open_bin path In_channel.input_all)

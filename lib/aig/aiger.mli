@@ -8,8 +8,13 @@
 exception Parse_error of string
 
 (** Render a graph.  AND fanins are emitted with [rhs0 >= rhs1] as the
-    format requires. *)
+    format requires.  The bytes are a fixed function of the graph:
+    service keys ([Service.Key]) are digests of them, and a test pins
+    them. *)
 val to_string : Graph.t -> string
+
+(** [to_buffer buf g] appends [to_string g] to [buf]. *)
+val to_buffer : Buffer.t -> Graph.t -> unit
 
 val write_channel : out_channel -> Graph.t -> unit
 val write_file : string -> Graph.t -> unit
@@ -43,5 +48,11 @@ val of_string : string -> Graph.t
     @raise Parse_error on malformed input. *)
 val of_ascii_with_latches : string -> Graph.t * int
 
+(** Read the rest of the channel in one [In_channel.input_all] and parse
+    it with {!of_string}. *)
 val read_channel : in_channel -> Graph.t
+
+(** [read_file path] reads the file in one [In_channel.input_all] (in
+    binary mode, so binary AIGER bytes are never translated) and parses
+    it with {!of_string}. *)
 val read_file : string -> Graph.t

@@ -26,3 +26,19 @@ val constant_unit : Clause.t
     (single) miter output is constant false.
     @raise Invalid_argument unless [g] has exactly one output. *)
 val miter_formula : Aig.t -> Formula.t
+
+(** [graph_mem g c] iff [c] is a clause of [of_graph g], without
+    building it: the constant unit, or one of the three definitional
+    clauses of the AND node [Clause.max_var c].  O(|c|), no
+    allocation. *)
+val graph_mem : Aig.t -> Clause.t -> bool
+
+(** [miter_mem g] is the membership test of [miter_formula g], without
+    building it: [miter_mem g c] iff [graph_mem g c] or [c] is the unit
+    clause of the output.  It is what the certificate checkers take as
+    [~leaf_ok], so a certificate is checked against the netlist it
+    talks about rather than a copy of its CNF.  Each test is O(|c|)
+    and allocates nothing.
+    @raise Invalid_argument (when applied to [g]) unless [g] has
+    exactly one output, like {!miter_formula}. *)
+val miter_mem : Aig.t -> Clause.t -> bool

@@ -4,7 +4,7 @@ module R = Proof.Resolution
 type certificate = {
   proof : R.t;
   root : R.id;
-  formula : Cnf.Formula.t;
+  miter : Aig.t;
   boundaries : R.id array;
 }
 
@@ -44,7 +44,7 @@ let check_monolithic ?max_conflicts miter =
     | Solver.Sat model -> Inequivalent (extract_inputs miter model)
     | Solver.Unknown | Solver.Unsat_assuming _ -> Undecided
     | Solver.Unsat root ->
-      Equivalent { proof = Solver.proof solver; root; formula; boundaries = [||] }
+      Equivalent { proof = Solver.proof solver; root; miter; boundaries = [||] }
   in
   {
     verdict;
@@ -62,8 +62,8 @@ let check_sweeping ?max_conflicts cfg miter =
   let outcome, stats = Sweep.run miter cfg in
   let verdict =
     match outcome with
-    | Sweep.Proved { proof; root; formula; boundaries } ->
-      Equivalent { proof; root; formula; boundaries }
+    | Sweep.Proved { proof; root; miter; boundaries } ->
+      Equivalent { proof; root; miter; boundaries }
     | Sweep.Disproved inputs -> Inequivalent inputs
     | Sweep.Unresolved -> Undecided
   in

@@ -13,7 +13,11 @@
 type certificate = {
   proof : Proof.Resolution.t;
   root : Proof.Resolution.id;
-  formula : Cnf.Formula.t;  (** the miter CNF the proof refutes *)
+  miter : Aig.t;
+      (** the single-output miter whose CNF
+          ({!Cnf.Tseitin.miter_formula}) the proof refutes; the proof's
+          leaves are checked against it with {!Cnf.Tseitin.miter_mem},
+          without building that CNF *)
   boundaries : Proof.Resolution.id array;
       (** section boundaries (last proof node of each refuted query or
           stitched partition, ascending) for sharded hinted-certificate

@@ -1,42 +1,14 @@
-type error =
-  | Proof_error of Proof.Checker.error
-  | Formula_mismatch of string
+type error = Proof.Checker.error
 
-let pp_error fmt = function
-  | Proof_error e -> Proof.Checker.pp_error fmt e
-  | Formula_mismatch msg -> Format.fprintf fmt "formula mismatch: %s" msg
+let pp_error = Proof.Checker.pp_error
 
-let validate (cert : Cec.certificate) =
-  match
-    Proof.Checker.check cert.Cec.proof ~root:cert.Cec.root ~formula:cert.Cec.formula ()
-  with
-  | Ok chains -> Ok chains
-  | Error e -> Error (Proof_error e)
+let check_leaves (cert : Cec.certificate) miter =
+  Proof.Checker.check cert.Cec.proof ~root:cert.Cec.root
+    ~leaf_ok:(Cnf.Tseitin.miter_mem miter) ()
 
-let validate_against cert a b =
-  let rebuilt = Cnf.Tseitin.miter_formula (Aig.Miter.build a b) in
-  let claimed = cert.Cec.formula in
-  if Cnf.Formula.num_clauses rebuilt <> Cnf.Formula.num_clauses claimed then
-    Error
-      (Formula_mismatch
-         (Printf.sprintf "clause counts differ: rebuilt %d, certificate %d"
-            (Cnf.Formula.num_clauses rebuilt)
-            (Cnf.Formula.num_clauses claimed)))
-  else begin
-    let missing = ref None in
-    Cnf.Formula.iter
-      (fun c -> if !missing = None && not (Cnf.Formula.mem rebuilt c) then missing := Some c)
-      claimed;
-    match !missing with
-    | Some c ->
-      Error
-        (Formula_mismatch
-           (Printf.sprintf "certificate clause %s is not in the rebuilt miter CNF"
-              (Cnf.Clause.to_dimacs_string c)))
-    | None -> (
-      (* Check the proof against the rebuilt formula, not the claimed
-         one, so a forged certificate cannot smuggle leaves. *)
-      match Proof.Checker.check cert.Cec.proof ~root:cert.Cec.root ~formula:rebuilt () with
-      | Ok chains -> Ok chains
-      | Error e -> Error (Proof_error e))
-  end
+let validate (cert : Cec.certificate) = check_leaves cert cert.Cec.miter
+
+(* The leaves are checked against the miter rebuilt from the circuits,
+   not the one the certificate carries, so a forged certificate cannot
+   smuggle leaves. *)
+let validate_against cert a b = check_leaves cert (Aig.Miter.build a b)

@@ -1,6 +1,5 @@
 module Lit = Aig.Lit
 module Clause = Cnf.Clause
-module Formula = Cnf.Formula
 module Solver = Sat.Solver
 module R = Proof.Resolution
 
@@ -155,7 +154,8 @@ let job_refuted job =
 
 (* Merge the per-partition refutations into one refutation of the
    combined miter CNF (see the .mli for the construction). *)
-let stitch miter diffs formula jobs =
+let stitch miter diffs jobs =
+  let in_miter = Cnf.Tseitin.miter_mem miter in
   Fault.inject "proof.lift";
   let s = R.create () in
   let lemma_root : (Clause.t, R.id) Hashtbl.t = Hashtbl.create 16 in
@@ -183,7 +183,7 @@ let stitch miter diffs formula jobs =
              impossible for consistent Tseitin cones, but if it ever
              happens the derivation already refutes the miter CNF. *)
           direct := Some lifted
-        else if (not (Formula.mem formula lemma)) && not (Hashtbl.mem lemma_root lemma) then begin
+        else if (not (in_miter lemma)) && not (Hashtbl.mem lemma_root lemma) then begin
           Hashtbl.replace lemma_root lemma lifted;
           lemma_order := lemma :: !lemma_order
         end
@@ -191,7 +191,7 @@ let stitch miter diffs formula jobs =
     jobs;
   let boundaries () = Array.of_list (List.rev !sections) in
   match !direct with
-  | Some root -> ({ Cec.proof = s; root; formula; boundaries = boundaries () }, 0)
+  | Some root -> ({ Cec.proof = s; root; miter; boundaries = boundaries () }, 0)
   | None ->
     (* Final stitch: the asserted output, the output-combining OR
        layer above the disagreement nodes, and the per-partition unit
@@ -222,14 +222,13 @@ let stitch miter diffs formula jobs =
             | Some id -> id
             | None -> R.add_leaf s c)
       in
-      ( { Cec.proof = s; root = final; formula; boundaries = boundaries () },
+      ( { Cec.proof = s; root = final; miter; boundaries = boundaries () },
         Solver.num_conflicts solver )
     | Solver.Sat _ | Solver.Unknown | Solver.Unsat_assuming _ ->
       failwith "Parallel.check: final stitch call did not refute (internal error)")
 
 let check ?(config = default_config) a b =
   let miter, diffs = Aig.Miter.build_detailed a b in
-  let formula = Cnf.Tseitin.miter_formula miter in
   (* Partition: one slot per output pair, one job per distinct
      non-constant disagreement literal. *)
   let job_of_diff : (Lit.t, job) Hashtbl.t = Hashtbl.create 16 in
@@ -386,7 +385,7 @@ let check ?(config = default_config) a b =
            checkable certificate. *)
         match
           Obs.Span.with_ reg "parallel.stitch" (fun () ->
-              stitch miter diffs formula (Array.to_list jobs))
+              stitch miter diffs (Array.to_list jobs))
         with
         | cert, stitch_conflicts -> (Cec.Equivalent cert, None, stitch_conflicts, 1)
         | exception e ->

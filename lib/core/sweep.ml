@@ -1,6 +1,5 @@
 module Lit = Aig.Lit
 module Clause = Cnf.Clause
-module Formula = Cnf.Formula
 module Solver = Sat.Solver
 module R = Proof.Resolution
 module Veci = Support.Veci
@@ -87,7 +86,7 @@ type outcome =
   | Proved of {
       proof : R.t;
       root : R.id;
-      formula : Formula.t;
+      miter : Aig.t;
       boundaries : R.id array;
     }
   | Disproved of bool array
@@ -226,7 +225,7 @@ type lemma = {
    makes the final query satisfiable.  Either way the two origins of a
    shared leaf import alike. *)
 type fresh_state = {
-  miter_cnf : Formula.t;
+  leaf_ok : Clause.t -> bool; (* membership in the CNF the proof refutes *)
   table : Clause.t array;
       (* every CNF clause a query can add, by slot: the [tseitin_table],
          with the constant unit at slot 0 and a single-output graph's
@@ -313,7 +312,7 @@ let global_of_origin st origin =
     if id >= 0 then id
     else begin
       let c = st.table.(origin) in
-      assert (Formula.mem st.miter_cnf c);
+      assert (st.leaf_ok c);
       let id = R.add_leaf st.global c in
       st.slot_global.(origin) <- id;
       id
@@ -386,21 +385,21 @@ let fresh_final g cfg st stats =
         {
           proof = st.global;
           root = global_root;
-          formula = st.miter_cnf;
+          miter = g;
           boundaries = Array.of_list (List.rev st.sections);
         }
   in
   stats.conflicts <- stats.conflicts + Solver.num_conflicts st.solver;
   result
 
-let make_fresh_engine g cfg ~formula =
+let make_fresh_engine g cfg ~leaf_ok =
   let table = tseitin_table g in
   table.(0) <- Cnf.Tseitin.constant_unit;
   if Aig.num_outputs g = 1 then table.(1) <- Clause.singleton (Aig.output g 0);
   let qproof = R.create () in
   let st =
     {
-      miter_cnf = formula;
+      leaf_ok;
       table;
       output_slot = (if Clause.equal table.(1) table.(0) then 0 else 1);
       slot_global = Array.make (Array.length table) (-1);
@@ -438,7 +437,7 @@ let make_fresh_engine g cfg ~formula =
 (* --- mode 2: one incremental solver whose proof store IS the global
        proof; native assumptions; lemmas installed as derived clauses - *)
 
-let make_incremental_engine g cfg ~formula =
+let make_incremental_engine g cfg =
   let global = R.create () in
   let solver = Solver.create ~proof:global () in
   Solver.ensure_vars solver (Aig.num_nodes g);
@@ -526,7 +525,7 @@ let make_incremental_engine g cfg ~formula =
         Unresolved
       | Solver.Unsat root ->
         Proved
-          { proof = global; root; formula; boundaries = Array.of_list (List.rev !sections) }
+          { proof = global; root; miter = g; boundaries = Array.of_list (List.rev !sections) }
     in
     account ();
     result
@@ -535,11 +534,11 @@ let make_incremental_engine g cfg ~formula =
 
 (* --- entry points ------------------------------------------------- *)
 
-let make_engine g cfg ~formula =
+let make_engine g cfg ~leaf_ok =
   let engine, finalize =
     match cfg.mode with
-    | Incremental -> make_incremental_engine g cfg ~formula
-    | Perpair -> make_fresh_engine g cfg ~formula
+    | Incremental -> make_incremental_engine g cfg
+    | Perpair -> make_fresh_engine g cfg ~leaf_ok
   in
   (* Wrap the engine-specific callbacks so every mode records the same
      observability counters at the same points.  A query settled from
@@ -576,7 +575,7 @@ let make_engine g cfg ~formula =
 
 let run g cfg =
   if Aig.num_outputs g <> 1 then invalid_arg "Sweep.run: expected a single-output miter";
-  let engine, finalize = make_engine g cfg ~formula:(Cnf.Tseitin.miter_formula g) in
+  let engine, finalize = make_engine g cfg ~leaf_ok:(Cnf.Tseitin.miter_mem g) in
   sweep_all engine;
   (finalize (), engine.stats)
 
@@ -588,7 +587,7 @@ let fraig g cfg =
   let engine, _finalize =
     (* fraig makes no final call and works on arbitrary graphs: the
        leaf universe is the graph's own Tseitin CNF. *)
-    make_engine g cfg ~formula:(Cnf.Tseitin.of_graph g)
+    make_engine g cfg ~leaf_ok:(Cnf.Tseitin.graph_mem g)
   in
   sweep_all engine;
   let fresh = Aig.create ~num_inputs:(Aig.num_inputs g) in

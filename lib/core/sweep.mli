@@ -84,7 +84,9 @@ type outcome =
   | Proved of {
       proof : Proof.Resolution.t;
       root : Proof.Resolution.id;
-      formula : Cnf.Formula.t;  (** the miter CNF the proof refutes *)
+      miter : Aig.t;
+          (** the miter swept, whose CNF the proof refutes: every leaf
+              passes [Cnf.Tseitin.miter_mem miter] *)
       boundaries : Proof.Resolution.id array;
           (** last proof node of each refuted query's imported
               derivation, ascending — the section boundaries a hinted

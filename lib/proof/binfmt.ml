@@ -259,12 +259,15 @@ let version_of r = r.version
 let shards r = r.shards
 let shard_reader r i = { r with pos = r.shards.(i).byte_start; defined = r.shards.(i).start_pos }
 
+(* Nine bytes at most, and the ninth may carry only six value bits:
+   its seventh would land on bit 62, the sign bit of an OCaml int, so
+   every varint that decodes is in [0, max_int]. *)
 let get_varint r =
   let v = ref 0 and shift = ref 0 and continue = ref true in
   while !continue do
     if r.pos >= String.length r.data then corrupt r.pos "truncated varint";
-    if !shift > 56 then corrupt r.pos "varint overflow";
     let b = Char.code r.data.[r.pos] in
+    if !shift > 56 || (!shift = 56 && b > 0x3f) then corrupt r.pos "varint overflow";
     r.pos <- r.pos + 1;
     v := !v lor ((b land 0x7f) lsl !shift);
     shift := !shift + 7;
@@ -274,12 +277,14 @@ let get_varint r =
 
 let get_deltas r ~what =
   let k = get_varint r in
-  if k > String.length r.data - r.pos then corrupt r.pos "%s length overruns the data" what;
+  if k < 0 || k > String.length r.data - r.pos then
+    corrupt r.pos "%s length overruns the data" what;
   let arr = Array.make k 0 in
   for i = 0 to k - 1 do
     let d = get_varint r in
     if i = 0 then arr.(0) <- d
     else if d = 0 then corrupt r.pos "non-increasing %s" what
+    else if d > max_int - arr.(i - 1) then corrupt r.pos "%s overflow" what
     else arr.(i) <- arr.(i - 1) + d
   done;
   arr
@@ -290,7 +295,7 @@ let get_deltas r ~what =
    + result clause) for every node referenced across a boundary. *)
 let read_shard_table r declared =
   let s_count = get_varint r in
-  if s_count = 0 then corrupt r.pos "zero shards";
+  if s_count <= 0 then corrupt r.pos "zero shards";
   if s_count > declared then corrupt r.pos "more shards than nodes";
   let ends = Array.make s_count 0 in
   let lens = Array.make s_count 0 in
@@ -299,20 +304,25 @@ let read_shard_table r declared =
   for s = 0 to s_count - 1 do
     let start = !prev_end in
     let d = get_varint r in
-    if d = 0 then corrupt r.pos "empty shard";
+    if d <= 0 then corrupt r.pos "empty shard";
+    if d > declared - start then corrupt r.pos "shard end beyond the node count";
     let e = start + d in
-    if e > declared then corrupt r.pos "shard end beyond the node count";
     ends.(s) <- e;
     prev_end := e;
-    lens.(s) <- get_varint r;
+    let len = get_varint r in
+    if len < 0 || len > String.length r.data - r.pos then
+      corrupt r.pos "shard byte length overruns the data";
+    lens.(s) <- len;
     let ec = get_varint r in
-    if ec > String.length r.data - r.pos then corrupt r.pos "export count overruns the data";
+    if ec < 0 || ec > String.length r.data - r.pos then
+      corrupt r.pos "export count overruns the data";
     let prev_pos = ref 0 in
     exports.(s) <-
       Array.init ec (fun i ->
           let d = get_varint r in
-          let p = if i = 0 then d else !prev_pos + d in
           if i > 0 && d = 0 then corrupt r.pos "non-increasing export positions";
+          if d >= e then corrupt r.pos "export position outside its shard";
+          let p = if i = 0 then d else !prev_pos + d in
           if p < start || p >= e then corrupt r.pos "export position outside its shard";
           prev_pos := p;
           let lits = get_deltas r ~what:"export clause literals" in
@@ -350,7 +360,7 @@ let reader data =
     corrupt vpos "unsupported format version %d (want %d or %d)" v version version_hinted;
   let r = { data; pos = vpos + 1; declared = 0; defined = 0; version = v; shards = [||] } in
   let declared = get_varint r in
-  if declared = 0 then corrupt r.pos "empty certificate";
+  if declared <= 0 then corrupt r.pos "empty certificate";
   (* Every node record takes at least one byte, so a count beyond the
      data size is corrupt — checked before any count-sized allocation. *)
   if declared > String.length data then corrupt r.pos "node count overruns the data";

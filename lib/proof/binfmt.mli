@@ -32,9 +32,13 @@
                                 clauses are dead from here on
     v}
 
-    All integers are unsigned LEB128 varints; literals use the internal
-    [2*var + sign] encoding and, like delete-id lists, are sorted and
-    gap-coded.  Version-1 chains store {e no result clause and no
+    All integers are unsigned LEB128 varints of at most nine bytes,
+    the ninth carrying six value bits, so every integer the reader
+    returns is a non-negative OCaml int: a longer varint, or a ninth
+    byte that would set the sign bit, is {!Corrupt}, as is a count or
+    a gap sum beyond what the data can hold.  Literals use the
+    internal [2*var + sign] encoding and, like delete-id lists, are
+    sorted and gap-coded.  Version-1 chains store {e no result clause and no
     pivots}: a non-tautological resolvent exists only when exactly one
     variable clashes between the operands, so readers re-derive each
     pivot ({!Cnf.Clause.resolve_clash}) and recompute each result by

@@ -61,7 +61,7 @@ let fresh_outcome () =
    set is the shard's local live clauses plus the imports currently
    held — for a valid certificate that is never more than the
    sequential checker's live set at the same instant. *)
-let check_shard ?formula base shards exports idx =
+let check_shard ~leaf_ok base shards exports idx =
   let out = fresh_outcome () in
   let sh = shards.(idx) in
   let n = Binfmt.declared_nodes base in
@@ -104,8 +104,8 @@ let check_shard ?formula base shards exports idx =
           | Binfmt.Leaf { clause; assumption } ->
             let pos = Binfmt.defined_nodes r - 1 in
             if assumption then reject ~chain:pos at "assumption leaf in a final certificate";
-            (match formula with
-            | Some f when not (Cnf.Formula.mem f clause) ->
+            (match leaf_ok with
+            | Some ok when not (ok clause) ->
               reject ~chain:pos at "leaf clause %s is not in the formula"
                 (Clause.to_dimacs_string clause)
             | Some _ | None -> ());
@@ -249,7 +249,8 @@ let pick candidates =
       | Some b -> if compare (error_key e) (error_key b) < 0 then Some e else acc)
     None candidates
 
-let check ?formula ?(jobs = 1) data =
+let check ?leaf_ok ?formula ?(jobs = 1) data =
+  let leaf_ok = Checker.leaf_test ?leaf_ok ?formula () in
   let reg = Obs.ambient () in
   let fail e =
     Obs.Counter.incr (Obs.Registry.counter reg "check.rejects");
@@ -291,7 +292,7 @@ let check ?formula ?(jobs = 1) data =
               if i < s_count then begin
                 outcomes.(i) <-
                   Obs.Span.with_ wreg "check.shard" (fun () ->
-                      check_shard ?formula base shards exports i);
+                      check_shard ~leaf_ok base shards exports i);
                 loop ()
               end
             in

@@ -49,10 +49,20 @@ type error = {
 
 val pp_error : Format.formatter -> error -> unit
 
-(** [check ?formula ?jobs data] validates [data] as a {e hinted}
-    binary certificate of unsatisfiability; with [formula], every leaf
-    must be one of its clauses.  [jobs] (default 1) bounds the domains
+(** [check ?leaf_ok ?formula ?jobs data] validates [data] as a
+    {e hinted} binary certificate of unsatisfiability; with [leaf_ok],
+    every leaf must pass it (for a miter's certificate,
+    [~leaf_ok:(Cnf.Tseitin.miter_mem miter)]).  [formula] is the same
+    test as [~leaf_ok:(Cnf.Formula.mem formula)] (given both, a leaf
+    must pass both).  No library code passes it; it stays because
+    perfbench's serve replay times [check ~formula] as its
+    [proof.hint_check] layer.  [jobs] (default 1) bounds the domains
     checking shards concurrently — it affects wall time only, never
     the result.  Version-1 certificates are refused (use
     {!Stream_check}).  Never raises on untrusted input. *)
-val check : ?formula:Cnf.Formula.t -> ?jobs:int -> string -> (stats, error) result
+val check :
+  ?leaf_ok:(Cnf.Clause.t -> bool) ->
+  ?formula:Cnf.Formula.t ->
+  ?jobs:int ->
+  string ->
+  (stats, error) result

@@ -24,7 +24,7 @@ let reject ?chain offset fmt =
 let corrupt offset fmt =
   Printf.ksprintf (fun reason -> raise (Binfmt.Corrupt { offset; reason })) fmt
 
-let check ?formula data =
+let check ?leaf_ok data =
   let reg = Obs.ambient () in
   let run () =
     let r = Binfmt.reader data in
@@ -86,8 +86,8 @@ let check ?formula data =
         | Binfmt.Leaf { clause; assumption } ->
           let pos = Binfmt.defined_nodes r - 1 in
           if assumption then reject ~chain:pos at "assumption leaf in a final certificate";
-          (match formula with
-          | Some f when not (Cnf.Formula.mem f clause) ->
+          (match leaf_ok with
+          | Some ok when not (ok clause) ->
             reject ~chain:pos at "leaf clause %s is not in the formula"
               (Clause.to_dimacs_string clause)
           | Some _ | None -> ());

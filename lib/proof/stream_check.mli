@@ -11,9 +11,9 @@
     table is enforced (byte spans, per-shard node counts, export
     clauses matching their derivations, cross-shard antecedents
     exported), so this sequential pass accepts exactly the certificates
-    the sharded {!Hint_check} accepts.  Leaves are checked against the
-    formula when one is given, assumption leaves are rejected, and the
-    final node must hold the empty clause.
+    the sharded {!Hint_check} accepts.  Leaves are checked with the
+    leaf test when one is given, assumption leaves are rejected, and
+    the final node must hold the empty clause.
 
     The ambient {!Obs} registry records [proof.stream.checks],
     [proof.stream.chains], [proof.stream.rejects] and the high-water
@@ -41,8 +41,9 @@ type error = {
 
 val pp_error : Format.formatter -> error -> unit
 
-(** [check ?formula data] validates [data] as a binary certificate of
-    unsatisfiability; with [formula], every leaf must be one of its
-    clauses.  Never raises on untrusted input — corruption and invalid
-    proofs both come back as [Error]. *)
-val check : ?formula:Cnf.Formula.t -> string -> (stats, error) result
+(** [check ?leaf_ok data] validates [data] as a binary certificate of
+    unsatisfiability; with [leaf_ok], every leaf must pass it (for a
+    miter's certificate, [~leaf_ok:(Cnf.Tseitin.miter_mem miter)]).
+    Never raises on untrusted input — corruption and invalid proofs
+    both come back as [Error]. *)
+val check : ?leaf_ok:(Cnf.Clause.t -> bool) -> string -> (stats, error) result

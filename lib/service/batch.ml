@@ -71,7 +71,7 @@ let run ?(clock = Unix.gettimeofday) ~store ~engine ?timeout_ms ?(on_result = fu
             "interface mismatch between the two netlists"
         else begin
           let a = Key.normalize a and b = Key.normalize b in
-          let key = Key.of_pair a b in
+          let key = Key.of_normalized a b in
           let deadline =
             Option.map (fun ms -> started +. (float_of_int ms /. 1000.0)) timeout_ms
           in

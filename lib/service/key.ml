@@ -4,13 +4,15 @@ let format_version = 1
 
 let normalize = Aig.cleanup
 
-let of_pair a b =
-  let a = normalize a and b = normalize b in
-  let payload =
-    Printf.sprintf "cecproof-key %d\n%s\n--\n%s" format_version (Aig.Aiger.to_string a)
-      (Aig.Aiger.to_string b)
-  in
-  Digest.to_hex (Digest.string payload)
+let of_normalized a b =
+  let buf = Buffer.create 4096 in
+  Printf.bprintf buf "cecproof-key %d\n" format_version;
+  Aig.Aiger.to_buffer buf a;
+  Buffer.add_string buf "\n--\n";
+  Aig.Aiger.to_buffer buf b;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let of_pair a b = of_normalized (normalize a) (normalize b)
 
 let to_hex k = k
 

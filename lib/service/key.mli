@@ -25,8 +25,18 @@ val format_version : int
 val normalize : Aig.t -> Aig.t
 
 (** Structural hash of the normalized pair ({!normalize} is applied
-    internally; passing already-normalized graphs is idempotent). *)
+    internally; passing already-normalized graphs is idempotent).
+    Keys are digests of bytes fixed since format version 1, so existing
+    stores stay addressable: the tests pin one key and the AIGER bytes
+    it is computed from. *)
 val of_pair : Aig.t -> Aig.t -> t
+
+(** [of_normalized a b] is [of_pair a b] for graphs already passed
+    through {!normalize}, without normalizing them again: a shard
+    normalizes each request's pair once and takes its key from the
+    same graphs it solves and validates against.  On graphs that are
+    not normalized it is a different key. *)
+val of_normalized : Aig.t -> Aig.t -> t
 
 (** Lowercase hex rendering (doubles as the on-disk object filename). *)
 val to_hex : t -> string

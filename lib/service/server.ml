@@ -366,7 +366,7 @@ let handle_connection st fd =
         end
         else begin
           let a = Key.normalize a and b = Key.normalize b in
-          let key = Key.of_pair a b in
+          let key = Key.of_normalized a b in
           let timeout = match timeout_ms with Some _ as t -> t | None -> st.cfg.default_timeout_ms in
           let deadline =
             Option.map (fun ms -> st.cfg.clock () +. (float_of_int ms /. 1000.0)) timeout

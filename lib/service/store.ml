@@ -197,16 +197,16 @@ let corrupt_bytes data =
 
 (* One full pass of the checker that owns a binary body: the
    search-free [Hint_check] for hinted bodies, the streaming checker
-   for un-hinted ones.  With [formula] every leaf must come from this
-   pair's miter CNF; without it the pass is structural (every chain
-   re-resolves, the root is empty). *)
-let check_body ~hinted ?formula body =
+   for un-hinted ones.  With [leaf_ok] every leaf must be a clause of
+   this pair's miter CNF; without it the pass is structural (every
+   chain re-resolves, the root is empty). *)
+let check_body ~hinted ?leaf_ok body =
   if hinted then
-    match Proof.Hint_check.check ?formula body with
+    match Proof.Hint_check.check ?leaf_ok body with
     | Ok _ -> Ok ()
     | Error e -> Error (Format.asprintf "%a" Proof.Hint_check.pp_error e)
   else
-    match Proof.Stream_check.check ?formula body with
+    match Proof.Stream_check.check ?leaf_ok body with
     | Ok _ -> Ok ()
     | Error e -> Error (Format.asprintf "%a" Proof.Stream_check.pp_error e)
 
@@ -239,26 +239,27 @@ let load_verdict t path ~golden ~revised =
       Error (Printf.sprintf "version/header mismatch: %S (want %S)" first header)
     else
       let verdict_line, body = split_line rest in
-      (* The pair's miter CNF, built at most once per load and only when
-         a check or a certificate needs it. *)
-      let formula = lazy (Cnf.Tseitin.miter_formula (Aig.Miter.build golden revised)) in
-      let with_formula f =
-        match Lazy.force formula with
+      (* The pair's miter, built at most once per load and only when a
+         check or a certificate needs it.  Leaves are checked against
+         it with [Cnf.Tseitin.miter_mem], so its CNF is never built. *)
+      let miter = lazy (Aig.Miter.build golden revised) in
+      let with_miter f =
+        match Lazy.force miter with
         | exception Invalid_argument msg -> Error msg
-        | formula -> f formula
+        | miter -> f miter
       in
       (* Version-1 objects say bare "equivalent" and always carry an
          ASCII trace; later versions name their body format. *)
       let equivalent_trace () =
         Result.bind (parse_trace body) (fun (proof, root) ->
             let certificate () =
-              with_formula (fun formula -> Ok { Cec.proof; root; formula; boundaries = [||] })
+              with_miter (fun miter -> Ok { Cec.proof; root; miter; boundaries = [||] })
             in
             let checked =
               if not t.paranoid then check_trace (proof, root)
               else
                 Result.bind (certificate ()) (fun cert ->
-                    match Certify.validate_against cert golden revised with
+                    match Certify.validate cert with
                     | Ok _ -> Ok ()
                     | Error e -> Error (Format.asprintf "%a" Certify.pp_error e))
             in
@@ -280,18 +281,20 @@ let load_verdict t path ~golden ~revised =
       in
       let equivalent_bin ~hinted () =
         let checked =
-          if t.paranoid then with_formula (fun formula -> check_body ~hinted ~formula body)
+          if t.paranoid then
+            with_miter (fun miter ->
+                check_body ~hinted ~leaf_ok:(Cnf.Tseitin.miter_mem miter) body)
           else check_body ~hinted body
         in
         Result.map
           (fun () ->
             Proved
               (fun () ->
-                with_formula (fun formula ->
+                with_miter (fun miter ->
                     match Proof.Binfmt.decode body with
                     | exception Failure msg -> Error msg
                     | proof, root ->
-                      Ok { Cec.proof; root; formula; boundaries = boundaries_of_body () })))
+                      Ok { Cec.proof; root; miter; boundaries = boundaries_of_body () })))
           checked
       in
       match String.split_on_char ' ' verdict_line with
@@ -305,13 +308,10 @@ let load_verdict t path ~golden ~revised =
           Error "counterexample arity mismatch"
         else begin
           let cex = Array.init (String.length bits) (fun i -> bits.[i] = '1') in
-          if t.paranoid then begin
-            match Aig.Miter.build golden revised with
-            | exception Invalid_argument msg -> Error msg
-            | miter ->
-              if (Aig.eval miter cex).(0) then Ok (Refuted cex)
-              else Error "stored counterexample does not distinguish the pair"
-          end
+          if t.paranoid then
+            with_miter (fun miter ->
+                if (Aig.eval miter cex).(0) then Ok (Refuted cex)
+                else Error "stored counterexample does not distinguish the pair")
           else Ok (Refuted cex)
         end
       | _ -> Error (Printf.sprintf "malformed verdict line %S" verdict_line))

@@ -56,11 +56,12 @@
     been truncated, or been written by an adversary.  In paranoid mode
     (the default) a loaded equivalent entry is re-validated against the
     requested pair before being served — ASCII traces with
-    {!Cec_core.Certify.validate_against}, un-hinted binary bodies with
-    the bounded-memory {!Proof.Stream_check}, hinted ([bin3]) bodies
-    with the search-free {!Proof.Hint_check}, each against the pair's
-    miter CNF — and a loaded counterexample is replayed through the
-    miter.
+    {!Cec_core.Certify.validate}, un-hinted binary bodies with the
+    bounded-memory {!Proof.Stream_check}, hinted ([bin3]) bodies with
+    the search-free {!Proof.Hint_check}, each checking every leaf
+    against the pair's miter with {!Cnf.Tseitin.miter_mem}, so the
+    miter CNF is never built — and a loaded counterexample is replayed
+    through the miter.
     Anything that fails is deleted and reported as a miss, so the
     caller falls back to solving.  Disabling paranoia skips the
     pair-specific checks (fast path for trusted local stores) but keeps
@@ -127,8 +128,8 @@ type hit = Equivalent | Inequivalent of bool array
 (** [lookup t key ~golden ~revised] is the verdict-only read that
     serves [check] requests.  It loads the stored verdict for [key] and
     runs the same check as {!find} — in paranoid mode the body's own
-    checker against the pair's miter CNF, otherwise one structural
-    pass — but it never rebuilds the proof DAG.  [golden] and [revised] must be the
+    checker with the pair's miter as its leaf test, otherwise one
+    structural pass — but it never rebuilds the proof DAG.  [golden] and [revised] must be the
     normalized pair the key was derived from.  Returns [None] — after
     deleting the entry — when the entry is absent, unparsable,
     version-mismatched, or fails its check.  A hit moves the entry's
@@ -172,7 +173,9 @@ val pp_stats : Format.formatter -> stats -> unit
     ({!Proof.Hint_check} for [bin3], {!Proof.Stream_check} for [bin],
     {!Proof.Checker} for traces: every chain re-resolves and the root
     is empty; the pair-specific leaf check still happens at read time
-    in paranoid mode).  Runs by default when a store is opened. *)
+    in paranoid mode).  A body whose bytes the checker calls malformed
+    (a negative or overflowing varint among them) is condemned like
+    any other.  Runs by default when a store is opened. *)
 
 type fsck_report = {
   scanned : int;  (** object files examined *)

@@ -301,6 +301,26 @@ let test_aiger_file_io () =
       let g' = Aig.Aiger.read_file path in
       Alcotest.(check int) "ands preserved" (Aig.num_ands g) (Aig.num_ands g'))
 
+(* Service keys digest the writer's text, so its bytes are part of the
+   on-disk contract of every store: any change to them re-keys every
+   stored certificate. *)
+let test_aiger_writer_bytes () =
+  let expected =
+    String.concat "\n"
+      [
+        "aag 17 4 0 3 13"; "2"; "4"; "6"; "8"; "15"; "29"; "35"; "10 6 3"; "12 7 2"; "14 13 11";
+        "16 6 2"; "18 8 5"; "20 9 4"; "22 21 19"; "24 22 16"; "26 23 17"; "28 27 25"; "30 23 16";
+        "32 8 4"; "34 33 31"; "";
+      ]
+  in
+  let g = Circuits.Adder.ripple_carry 2 in
+  Alcotest.(check string) "ripple_carry 2" expected (Aig.Aiger.to_string g);
+  let buf = Buffer.create 16 in
+  Buffer.add_string buf "prefix ";
+  Aig.Aiger.to_buffer buf g;
+  Alcotest.(check string) "to_buffer appends the same bytes" ("prefix " ^ expected)
+    (Buffer.contents buf)
+
 (* --- Miter --- *)
 
 let test_miter_of_equal_is_const () =
@@ -365,6 +385,7 @@ let base_suites =
         Alcotest.test_case "aiger malformed inputs" `Quick test_aiger_errors;
         Alcotest.test_case "aiger sparse variables" `Quick test_aiger_sparse_variables;
         Alcotest.test_case "aiger file io" `Quick test_aiger_file_io;
+        Alcotest.test_case "aiger writer bytes pinned" `Quick test_aiger_writer_bytes;
         Alcotest.test_case "miter of identical circuits" `Quick test_miter_of_equal_is_const;
         Alcotest.test_case "miter detects difference" `Quick test_miter_detects_difference;
         Alcotest.test_case "miter interface mismatch" `Quick test_miter_interface_mismatch;

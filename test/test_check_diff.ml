@@ -41,36 +41,36 @@ let encode_v3 (cert : Cec.certificate) =
 let encode_v1 (cert : Cec.certificate) =
   Proof.Binfmt.encode cert.Cec.proof ~root:cert.Cec.root
 
-let stream formula data = Proof.Stream_check.check ~formula data
-let hint ?(jobs = 1) formula data = Proof.Hint_check.check ~formula ~jobs data
+let stream leaf_ok data = Proof.Stream_check.check ~leaf_ok data
+let hint ?(jobs = 1) leaf_ok data = Proof.Hint_check.check ~leaf_ok ~jobs data
 
 (* --- three-way acceptance agreement on valid certificates --- *)
 
 let accept_all ~what (cert : Cec.certificate) =
-  let formula = cert.Cec.formula in
+  let leaf_ok = Cnf.Tseitin.miter_mem cert.Cec.miter in
   let v1 = encode_v1 cert and v3 = encode_v3 cert in
   Alcotest.(check bool) (what ^ ": v3 sniffed as hinted") true (Proof.Binfmt.is_hinted v3);
   Alcotest.(check bool) (what ^ ": v1 not sniffed as hinted") false (Proof.Binfmt.is_hinted v1);
   let s1 =
-    match stream formula v1 with
+    match stream leaf_ok v1 with
     | Ok st -> st
     | Error e ->
       Alcotest.failf "%s: stream checker rejected v1: %a" what Proof.Stream_check.pp_error e
   in
   let s3 =
-    match stream formula v3 with
+    match stream leaf_ok v3 with
     | Ok st -> st
     | Error e ->
       Alcotest.failf "%s: stream checker rejected v3: %a" what Proof.Stream_check.pp_error e
   in
   let h1 =
-    match hint formula v3 with
+    match hint leaf_ok v3 with
     | Ok st -> st
     | Error e ->
       Alcotest.failf "%s: hinted checker rejected v3: %a" what Proof.Hint_check.pp_error e
   in
   let h4 =
-    match hint ~jobs:4 formula v3 with
+    match hint ~jobs:4 leaf_ok v3 with
     | Ok st -> st
     | Error e ->
       Alcotest.failf "%s: hinted checker (jobs=4) rejected v3: %a" what
@@ -188,12 +188,12 @@ let prop_random_pairs_agree =
 (* --- corruption fuzzing --- *)
 
 (* One fixed hinted certificate with several shards and plenty of
-   records, plus its formula. *)
+   records, plus its miter's leaf test. *)
 let fuzz_fixture =
   lazy
     (let case = Option.get (Suite.find "mul3-arr-sa") in
      match cert_of (case.Suite.golden ()) (case.Suite.revised ()) with
-     | Some cert -> (encode_v3 cert, cert.Cec.formula)
+     | Some cert -> (encode_v3 cert, Cnf.Tseitin.miter_mem cert.Cec.miter)
      | None -> failwith "fuzz setup failed")
 
 (* All three verdicts on one body, with the sharded checker pinned
@@ -201,10 +201,10 @@ let fuzz_fixture =
    join always checks every shard and picks a deterministic failure, so
    rejection must not depend on the job count either). *)
 let verdicts data =
-  let _, formula = Lazy.force fuzz_fixture in
-  let s = stream formula data in
-  let h1 = hint formula data in
-  let h4 = hint ~jobs:4 formula data in
+  let _, leaf_ok = Lazy.force fuzz_fixture in
+  let s = stream leaf_ok data in
+  let h1 = hint leaf_ok data in
+  let h4 = hint ~jobs:4 leaf_ok data in
   (match (h1, h4) with
   | Ok a, Ok b when a = b -> ()
   | Error a, Error b when a = b -> ()
@@ -228,7 +228,7 @@ let check_agreement ~what s h =
 
 let prop_bitflip_fuzz =
   qtest ~count:150 "single-bit corruption classified identically" (fun seed ->
-      let data, formula = Lazy.force fuzz_fixture in
+      let data, leaf_ok = Lazy.force fuzz_fixture in
       let pos = seed mod String.length data in
       let bit = 1 lsl (seed / String.length data mod 8) in
       let corrupted =
@@ -243,7 +243,7 @@ let prop_bitflip_fuzz =
            encoding slack — there is none today, so this guards the
            claim). *)
         let proof, root = Proof.Binfmt.decode corrupted in
-        (match Proof.Checker.check proof ~root ~formula () with
+        (match Proof.Checker.check proof ~root ~leaf_ok () with
         | Ok _ -> ()
         | Error e ->
           Alcotest.failf "flip@%d^%d: checkers accepted an invalid proof: %a" pos bit

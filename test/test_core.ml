@@ -87,8 +87,8 @@ let test_sweep_stats () =
   in
   let outcome, stats = Sweep.run miter Sweep.default_config in
   (match outcome with
-  | Sweep.Proved { proof; root; formula; _ } -> (
-    match Proof.Checker.check proof ~root ~formula () with
+  | Sweep.Proved { proof; root; miter; _ } -> (
+    match Proof.Checker.check proof ~root ~leaf_ok:(Cnf.Tseitin.miter_mem miter) () with
     | Ok _ -> ()
     | Error e -> Alcotest.failf "stitched proof rejected: %a" Proof.Checker.pp_error e)
   | Sweep.Disproved _ -> Alcotest.fail "spurious cex"
@@ -104,15 +104,16 @@ let test_lemma_reuse_off () =
   in
   let cfg = { Sweep.default_config with Sweep.lemma_reuse = false } in
   match Sweep.run miter cfg with
-  | Sweep.Proved { proof; root; formula; _ }, _ -> (
-    match Proof.Checker.check proof ~root ~formula () with
+  | Sweep.Proved { proof; root; miter; _ }, _ -> (
+    match Proof.Checker.check proof ~root ~leaf_ok:(Cnf.Tseitin.miter_mem miter) () with
     | Ok _ -> ()
     | Error e -> Alcotest.failf "proof rejected: %a" Proof.Checker.pp_error e)
   | (Sweep.Disproved _ | Sweep.Unresolved), _ -> Alcotest.fail "expected Proved"
 
 let test_certificate_tamper () =
-  (* A certificate whose formula lost a clause must be rejected by
-     validate_against. *)
+  (* A certificate checked against another pair's miter must be
+     rejected by validate_against: its leaves are not that miter's
+     clauses. *)
   let a = Circuits.Adder.ripple_carry 4 and b = Circuits.Adder.carry_lookahead 4 in
   match (Cec.check Cec.Monolithic a b).Cec.verdict with
   | Cec.Equivalent cert -> (
@@ -193,10 +194,10 @@ let test_stitched_proof_is_rup () =
     Aig.Miter.build (Circuits.Adder.ripple_carry 3) (Circuits.Adder.carry_lookahead 3)
   in
   match Sweep.run miter Sweep.default_config with
-  | Sweep.Proved { proof; root; formula; _ }, _ -> (
+  | Sweep.Proved { proof; root; _ }, _ -> (
     let trimmed, troot = Proof.Trim.cone proof ~root in
     let drup = Proof.Export.drup_to_string trimmed ~root:troot in
-    match Proof.Rup.check_drup_string formula drup with
+    match Proof.Rup.check_drup_string (Cnf.Tseitin.miter_formula miter) drup with
     | Ok _ -> ()
     | Error e -> Alcotest.failf "stitched DRUP rejected: %a" Proof.Rup.pp_error e)
   | (Sweep.Disproved _ | Sweep.Unresolved), _ -> Alcotest.fail "expected Proved"
@@ -206,11 +207,11 @@ let test_compress_stitched_proof () =
     Aig.Miter.build (Circuits.Adder.ripple_carry 6) (Circuits.Adder.carry_select 6)
   in
   match Sweep.run miter Sweep.default_config with
-  | Sweep.Proved { proof; root; formula; _ }, _ -> (
+  | Sweep.Proved { proof; root; miter; _ }, _ -> (
     let kept, original = Proof.Compress.sharing_gain proof ~root in
     Alcotest.(check bool) "sharing cannot grow the proof" true (kept <= original);
     let shared, sroot = Proof.Compress.share proof ~root in
-    match Proof.Checker.check shared ~root:sroot ~formula () with
+    match Proof.Checker.check shared ~root:sroot ~leaf_ok:(Cnf.Tseitin.miter_mem miter) () with
     | Ok _ -> ()
     | Error e -> Alcotest.failf "shared stitched proof rejected: %a" Proof.Checker.pp_error e)
   | (Sweep.Disproved _ | Sweep.Unresolved), _ -> Alcotest.fail "expected Proved"
@@ -295,9 +296,10 @@ let test_incremental_faster_proofs_check () =
     Aig.Miter.build (Circuits.Adder.ripple_carry 3) (Circuits.Adder.carry_lookahead 3)
   in
   match Sweep.run miter incremental_cfg with
-  | Sweep.Proved { proof; root; formula; _ }, _ -> (
+  | Sweep.Proved { proof; root; _ }, _ -> (
     let trimmed, troot = Proof.Trim.cone proof ~root in
-    match Proof.Rup.check_drup_string formula (Proof.Export.drup_to_string trimmed ~root:troot) with
+    let drup = Proof.Export.drup_to_string trimmed ~root:troot in
+    match Proof.Rup.check_drup_string (Cnf.Tseitin.miter_formula miter) drup with
     | Ok _ -> ()
     | Error e -> Alcotest.failf "incremental DRUP rejected: %a" Proof.Rup.pp_error e)
   | (Sweep.Disproved _ | Sweep.Unresolved), _ -> Alcotest.fail "expected Proved"

@@ -293,6 +293,104 @@ let test_binary_header_bounds () =
     ~finally:(fun () -> Sys.remove hostile)
     (fun () -> Alcotest.(check int) "stats exit code" 2 (cli_exit_code [ "stats"; hostile ]))
 
+(* --- hostile certificates --- *)
+
+(* A nine-byte varint whose ninth byte, 0x7f, would set bit 62, the
+   sign bit of an OCaml int.  As a version-1 node count or a version-2
+   shard count it used to decode negative and reach [Array.make]. *)
+let negative_varint = String.make 8 '\xff' ^ "\x7f"
+let negative_node_count = "CECB\x01" ^ negative_varint ^ String.make 16 '\000'
+let negative_shard_count = "CECB\x02\x03" ^ negative_varint ^ String.make 16 '\000'
+
+(* Structurally different adders, so the output is not folded to a
+   constant. *)
+let small_miter () =
+  Aig.Miter.build (Circuits.Adder.ripple_carry 3) (Circuits.Adder.carry_lookahead 3)
+
+(* [f path] with [g] written to a temporary AIGER file. *)
+let with_netlist_file g f =
+  let path = write_temp (Aig.Aiger.to_string g) in
+  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
+
+(* [cec_tool check-proof] on [miter] and a certificate file holding
+   [data]. *)
+let check_proof_exit_code miter data =
+  with_netlist_file miter (fun miter_path ->
+      let cert = write_temp data in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove cert)
+        (fun () -> cli_exit_code [ "check-proof"; miter_path; cert ]))
+
+let test_negative_varint_certificates () =
+  let miter = small_miter () in
+  List.iter
+    (fun (what, data) ->
+      (match Proof.Binfmt.decode data with
+      | _ -> Alcotest.failf "%s: decoded" what
+      | exception Failure _ -> ());
+      (match Proof.Stream_check.check data with
+      | Ok _ -> Alcotest.failf "%s: streaming checker accepted" what
+      | Error e ->
+        Alcotest.(check bool) (what ^ ": stream malformed") true e.Proof.Stream_check.malformed);
+      (match Proof.Hint_check.check data with
+      | Ok _ -> Alcotest.failf "%s: hinted checker accepted" what
+      | Error e ->
+        Alcotest.(check bool) (what ^ ": hinted malformed") true e.Proof.Hint_check.malformed);
+      Alcotest.(check int) (what ^ ": check-proof exit code") 2 (check_proof_exit_code miter data))
+    [
+      ("version-1 node count", negative_node_count);
+      ("version-2 shard count", negative_shard_count);
+    ]
+
+(* A refutation whose every chain resolves but one of whose leaves is
+   not a clause of [miter]: its output unit [o] resolved against the
+   forged unit [~o] (for an output folded to a constant, [~o] would be
+   the constant unit). *)
+let forged_leaf_proof miter =
+  let proof = Proof.Resolution.create () in
+  let o = Aig.output miter 0 in
+  if Lit.is_const o then invalid_arg "forged_leaf_proof: constant miter output";
+  let genuine = Proof.Resolution.add_leaf proof (Clause.singleton o) in
+  let forged = Proof.Resolution.add_leaf proof (Clause.singleton (Lit.neg o)) in
+  let root =
+    Proof.Resolution.add_chain proof ~clause:Clause.empty ~antecedents:[| genuine; forged |]
+      ~pivots:[| Lit.var o |]
+  in
+  (proof, root)
+
+(* Structurally valid, so each checker accepts the forged certificate
+   without a leaf test; with one, the netlist predicate rejects it
+   with exactly the error membership in the miter CNF gives.  The CLI
+   says 3 (rejected) in every format. *)
+let test_forged_leaf_rejected () =
+  let miter = small_miter () in
+  let proof, root = forged_leaf_proof miter in
+  let leaf_ok = Cnf.Tseitin.miter_mem miter and formula = Cnf.Tseitin.miter_formula miter in
+  let same what ~without ~netlist ~cnf =
+    (match without with
+    | Ok _ -> ()
+    | Error _ -> Alcotest.failf "%s: rejected without a leaf test" what);
+    match (netlist, cnf) with
+    | Error a, Error b -> Alcotest.(check bool) (what ^ ": same rejection") true (a = b)
+    | _ -> Alcotest.failf "%s: forged leaf accepted" what
+  in
+  same "Checker"
+    ~without:(Proof.Checker.check proof ~root ())
+    ~netlist:(Proof.Checker.check proof ~root ~leaf_ok ())
+    ~cnf:(Proof.Checker.check proof ~root ~formula ());
+  let bin = Proof.Binfmt.encode proof ~root in
+  same "Stream_check" ~without:(Proof.Stream_check.check bin)
+    ~netlist:(Proof.Stream_check.check ~leaf_ok bin)
+    ~cnf:(Proof.Stream_check.check ~leaf_ok:(Formula.mem formula) bin);
+  let bin3 = Proof.Binfmt.encode_hinted proof ~root in
+  same "Hint_check" ~without:(Proof.Hint_check.check bin3)
+    ~netlist:(Proof.Hint_check.check ~leaf_ok bin3)
+    ~cnf:(Proof.Hint_check.check ~formula bin3);
+  List.iter
+    (fun (what, data) ->
+      Alcotest.(check int) (what ^ ": check-proof exit code") 3 (check_proof_exit_code miter data))
+    [ ("trace", Proof.Export.trace_to_string proof ~root); ("bin", bin); ("bin3", bin3) ]
+
 let suites =
   [
     ( "edge",
@@ -316,5 +414,8 @@ let suites =
         Alcotest.test_case "cut parameters" `Quick test_cut_parameter_validation;
         Alcotest.test_case "hostile aiger through the cli" `Quick test_cli_hostile_aiger;
         Alcotest.test_case "binary header counts bounded" `Quick test_binary_header_bounds;
+        Alcotest.test_case "negative varint certificates malformed" `Quick
+          test_negative_varint_certificates;
+        Alcotest.test_case "forged leaf rejected by every checker" `Quick test_forged_leaf_rejected;
       ] );
   ]

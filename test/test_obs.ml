@@ -607,7 +607,8 @@ let check_registry ?(jobs = 1) (cert : Cec.certificate) =
   in
   let reg = Obs.Registry.create () in
   (match
-     Obs.with_ambient reg (fun () -> Proof.Hint_check.check ~formula:cert.Cec.formula ~jobs data)
+     Obs.with_ambient reg (fun () ->
+         Proof.Hint_check.check ~leaf_ok:(Cnf.Tseitin.miter_mem cert.Cec.miter) ~jobs data)
    with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "hinted checker rejected: %a" Proof.Hint_check.pp_error e);

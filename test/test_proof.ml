@@ -578,7 +578,7 @@ let test_binfmt_roundtrip_hand () =
 let test_stream_check_accepts_hand () =
   let proof, root = hand_refutation () in
   let data = Proof.Binfmt.encode proof ~root in
-  match Proof.Stream_check.check ~formula:(formula_of_leaves ()) data with
+  match Proof.Stream_check.check ~leaf_ok:(Formula.mem (formula_of_leaves ())) data with
   | Error e -> Alcotest.failf "valid certificate rejected: %a" Proof.Stream_check.pp_error e
   | Ok st ->
     Alcotest.(check int) "seven nodes" 7 st.Proof.Stream_check.nodes;
@@ -615,7 +615,7 @@ let test_stream_check_rejects_foreign_leaf () =
   let data = Proof.Binfmt.encode proof ~root in
   let small = Formula.create () in
   ignore (Formula.add_list small [ lit 0; lit 1 ]);
-  match Proof.Stream_check.check ~formula:small data with
+  match Proof.Stream_check.check ~leaf_ok:(Formula.mem small) data with
   | Ok _ -> Alcotest.fail "foreign leaf accepted"
   | Error e -> Alcotest.(check bool) "semantic, not malformed" false e.Proof.Stream_check.malformed
 
@@ -691,7 +691,7 @@ let test_hinted_sharded_roundtrip () =
   let proof, root = hand_refutation () in
   let data = Proof.Binfmt.encode_hinted ~boundaries:[| 4; 5 |] ~min_shard_nodes:1 proof ~root in
   (* The sequential checker enforces the same shard discipline. *)
-  (match Proof.Stream_check.check ~formula:(formula_of_leaves ()) data with
+  (match Proof.Stream_check.check ~leaf_ok:(Formula.mem (formula_of_leaves ())) data with
   | Error e -> Alcotest.failf "stream checker rejected shards: %a" Proof.Stream_check.pp_error e
   | Ok _ -> ());
   List.iter

@@ -84,7 +84,8 @@ let prop_certificates_check =
       List.iter
         (fun (cert : Cec.certificate) ->
           match
-            Proof.Checker.check cert.Cec.proof ~root:cert.Cec.root ~formula:cert.Cec.formula ()
+            Proof.Checker.check cert.Cec.proof ~root:cert.Cec.root
+              ~leaf_ok:(Cnf.Tseitin.miter_mem cert.Cec.miter) ()
           with
           | Ok _ -> ()
           | Error e -> QCheck.Test.fail_reportf "certificate rejected: %a" Proof.Checker.pp_error e)
@@ -115,16 +116,65 @@ let prop_witnesses_simulate =
         ];
       true)
 
+(* (d) The netlist leaf test is membership in the miter CNF: every
+   clause of [miter_formula] passes it, and near misses of those
+   clauses (each literal flipped, moved to a neighbouring variable or
+   dropped, a literal added), the units of every node and the empty
+   clause get the answer [Formula.mem] gives.  The same holds for
+   [graph_mem] against [of_graph]. *)
+let prop_leaf_test_is_cnf_membership =
+  qtest ~count:40 "netlist leaf test agrees with miter CNF membership" (fun seed ->
+      let golden, revised = random_pair seed in
+      let miter = Aig.Miter.build golden revised in
+      let formula = Cnf.Tseitin.miter_formula miter and graph = Cnf.Tseitin.of_graph miter in
+      let in_miter = Cnf.Tseitin.miter_mem miter in
+      let agree c =
+        if in_miter c <> Cnf.Formula.mem formula c then
+          QCheck.Test.fail_reportf "miter_mem says %b on %s" (in_miter c)
+            (Clause.to_dimacs_string c);
+        if Cnf.Tseitin.graph_mem miter c <> Cnf.Formula.mem graph c then
+          QCheck.Test.fail_reportf "graph_mem says %b on %s"
+            (Cnf.Tseitin.graph_mem miter c) (Clause.to_dimacs_string c)
+      in
+      (* A near miss that would be a tautology is not a clause at all. *)
+      let near lits =
+        match Clause.of_list lits with c -> agree c | exception Invalid_argument _ -> ()
+      in
+      let n = Aig.num_nodes miter in
+      Cnf.Formula.iter
+        (fun c ->
+          if not (in_miter c) then
+            QCheck.Test.fail_reportf "clause %s of the miter CNF rejected"
+              (Clause.to_dimacs_string c);
+          let lits = Clause.to_list c in
+          List.iteri
+            (fun i l ->
+              let others = List.filteri (fun j _ -> j <> i) lits in
+              near (Aig.Lit.neg l :: others);
+              if Aig.Lit.var l > 0 then near ((l - 2) :: others);
+              near ((l + 2) :: others);
+              near others)
+            lits;
+          near (Aig.Lit.of_var (seed mod n) :: lits);
+          near (Aig.Lit.neg (Aig.Lit.of_var ((seed + Clause.max_var c) mod n)) :: lits))
+        formula;
+      for v = 0 to n do
+        agree (Clause.singleton (Aig.Lit.of_var v));
+        agree (Clause.singleton (Aig.Lit.neg (Aig.Lit.of_var v)))
+      done;
+      agree Clause.empty;
+      true)
+
 (* --- proof-checker fuzzing: corrupt a valid store, expect rejection --- *)
 
-(* A valid refutation (with its formula) to corrupt. *)
+(* A valid refutation (with its miter) to corrupt. *)
 let valid_proof =
   lazy
     (let miter =
        Aig.Miter.build (Circuits.Adder.ripple_carry 3) (Circuits.Adder.carry_lookahead 3)
      in
      match Sweep.run miter Sweep.default_config with
-     | Sweep.Proved { proof; root; formula; _ }, _ -> (proof, root, formula)
+     | Sweep.Proved { proof; root; miter; _ }, _ -> (proof, root, miter)
      | (Sweep.Disproved _ | Sweep.Unresolved), _ -> failwith "fuzz setup failed")
 
 (* Copy the cone of [root] into a fresh store, passing every node
@@ -156,8 +206,8 @@ let pick_chain seed =
   let chains = cone_chains src ~root in
   (src, root, List.nth chains (seed mod List.length chains))
 
-let expect_rejected ?formula what (proof, root) =
-  match Proof.Checker.check proof ~root ?formula () with
+let expect_rejected ?leaf_ok ?formula what (proof, root) =
+  match Proof.Checker.check proof ~root ?leaf_ok ?formula () with
   | Ok _ -> QCheck.Test.fail_reportf "%s accepted" what
   | Error e ->
     if String.length e.Proof.Checker.reason = 0 then
@@ -165,8 +215,8 @@ let expect_rejected ?formula what (proof, root) =
     true
 
 let fresh_var () =
-  let _, _, formula = Lazy.force valid_proof in
-  Cnf.Formula.num_vars formula + 1
+  let _, _, miter = Lazy.force valid_proof in
+  Aig.num_nodes miter + 1
 
 (* A pivot variable that occurs nowhere makes the resolution step
    invalid rather than merely wrong. *)
@@ -227,10 +277,10 @@ let prop_checker_rejects_mutated_clause =
       expect_rejected "mutated-clause proof" (copy_with ~mutate src ~root))
 
 (* Leaf clauses outside the formula are rejected when checking
-   against it. *)
+   against it, whether the miter decides membership or its CNF does. *)
 let prop_checker_rejects_foreign_leaf =
   qtest "checker rejects leaf outside the formula" (fun seed ->
-      let src, root, formula = Lazy.force valid_proof in
+      let src, root, miter = Lazy.force valid_proof in
       let leaves =
         Array.to_list (R.reachable src ~root)
         |> List.filter (fun id ->
@@ -244,7 +294,9 @@ let prop_checker_rejects_foreign_leaf =
           R.Leaf { clause = Clause.of_list (extra :: Clause.to_list clause); assumption }
         | n -> n
       in
-      expect_rejected ~formula "foreign-leaf proof" (copy_with ~mutate src ~root))
+      let forged = copy_with ~mutate src ~root in
+      expect_rejected ~leaf_ok:(Cnf.Tseitin.miter_mem miter) "foreign-leaf proof" forged
+      && expect_rejected ~formula:(Cnf.Tseitin.miter_formula miter) "foreign-leaf proof" forged)
 
 (* Assumption leaves must never survive into a final proof. *)
 let prop_checker_rejects_leftover_assumption =
@@ -349,7 +401,8 @@ let prop_trace_roundtrip =
         if Clause.compare (clause_at trimmed root) (clause_at proof' root') <> 0 then
           QCheck.Test.fail_report "root clause changed across the round-trip";
         (match
-           Proof.Checker.check proof' ~root:root' ~formula:cert.Cec.formula ()
+           Proof.Checker.check proof' ~root:root'
+             ~leaf_ok:(Cnf.Tseitin.miter_mem cert.Cec.miter) ()
          with
         | Ok _ -> ()
         | Error e ->
@@ -378,11 +431,12 @@ let prop_binfmt_roundtrip =
           QCheck.Test.fail_report "decoded node count differs from the trimmed cone";
         if Clause.compare (clause_at trimmed troot) (clause_at proof' root') <> 0 then
           QCheck.Test.fail_report "root clause changed across the round-trip";
-        (match Proof.Checker.check proof' ~root:root' ~formula:cert.Cec.formula () with
+        let leaf_ok = Cnf.Tseitin.miter_mem cert.Cec.miter in
+        (match Proof.Checker.check proof' ~root:root' ~leaf_ok () with
         | Ok _ -> ()
         | Error e ->
           QCheck.Test.fail_reportf "decoded proof rejected: %a" Proof.Checker.pp_error e);
-        (match Proof.Stream_check.check ~formula:cert.Cec.formula data with
+        (match Proof.Stream_check.check ~leaf_ok data with
         | Ok st ->
           if st.Proof.Stream_check.nodes <> R.size proof' then
             QCheck.Test.fail_report "streaming node count differs from decode";
@@ -398,12 +452,25 @@ let prop_binfmt_roundtrip =
 
 let valid_cert_bytes =
   lazy
-    (let proof, root, formula = Lazy.force valid_proof in
-     (Proof.Binfmt.encode proof ~root, formula))
+    (let proof, root, miter = Lazy.force valid_proof in
+     (Proof.Binfmt.encode proof ~root, Cnf.Tseitin.miter_mem miter))
+
+let valid_hinted_bytes =
+  lazy
+    (let proof, root, _ = Lazy.force valid_proof in
+     Proof.Binfmt.encode_hinted proof ~root)
+
+(* Splice a nine-byte varint whose ninth byte would set bit 62 (the
+   sign bit of an OCaml int) into [data] at [at].  Read as a count it
+   used to decode negative and escape as [Invalid_argument]. *)
+let splice_sign_varint rng data ~at =
+  let ninth = Char.chr (0x40 lor Support.Rng.int rng 0x40) in
+  String.sub data 0 at ^ String.make 8 '\xff' ^ String.make 1 ninth
+  ^ String.sub data at (String.length data - at)
 
 let prop_binfmt_fuzz =
   qtest ~count:200 "corrupted binary certificates never crash" (fun seed ->
-      let data, formula = Lazy.force valid_cert_bytes in
+      let data, leaf_ok = Lazy.force valid_cert_bytes in
       let rng = Support.Rng.create (seed + 1) in
       let mutated =
         match seed mod 3 with
@@ -425,13 +492,13 @@ let prop_binfmt_fuzz =
       (* Whatever the mutation did, the checker must return a Result —
          a mutation that leaves the certificate valid is legitimately
          accepted, anything else must be a structured rejection. *)
-      (match Proof.Stream_check.check ~formula mutated with
+      (match Proof.Stream_check.check ~leaf_ok mutated with
       | Ok _ | Error _ -> ());
       (* Corruption within the 5 header bytes is always detected. *)
       (if String.length mutated < String.length Proof.Binfmt.magic + 1
           || not (String.equal (String.sub mutated 0 5) (String.sub data 0 5))
        then
-         match Proof.Stream_check.check ~formula mutated with
+         match Proof.Stream_check.check ~leaf_ok mutated with
          | Ok _ -> QCheck.Test.fail_report "corrupted header accepted"
          | Error e ->
            if not e.Proof.Stream_check.malformed then
@@ -440,6 +507,26 @@ let prop_binfmt_fuzz =
       (match Proof.Binfmt.decode mutated with
       | _ -> ()
       | exception Failure _ -> ());
+      (* A sign-setting ninth byte, in both versions: right after the
+         version byte (the node count) it is always malformed; spliced
+         in anywhere else it still comes back as a [Result]. *)
+      List.iter
+        (fun base ->
+          let anywhere = 5 + Support.Rng.int rng (String.length base - 5) in
+          List.iter
+            (fun (at, in_header) ->
+              let overflowed = splice_sign_varint rng base ~at in
+              (match (Proof.Stream_check.check ~leaf_ok overflowed, in_header) with
+              | Error { Proof.Stream_check.malformed = true; _ }, _ | _, false -> ()
+              | _ -> QCheck.Test.fail_report "negative node count not malformed (stream)");
+              (match (Proof.Hint_check.check ~leaf_ok overflowed, in_header) with
+              | Error { Proof.Hint_check.malformed = true; _ }, _ | _, false -> ()
+              | _ -> QCheck.Test.fail_report "negative node count not malformed (hinted)");
+              match Proof.Binfmt.decode overflowed with
+              | _ -> if in_header then QCheck.Test.fail_report "negative node count decoded"
+              | exception Failure _ -> ())
+            [ (5, true); (anywhere, false) ])
+        [ data; Lazy.force valid_hinted_bytes ];
       true)
 
 let suites =
@@ -449,6 +536,7 @@ let suites =
         prop_engines_agree;
         prop_certificates_check;
         prop_witnesses_simulate;
+        prop_leaf_test_is_cnf_membership;
       ] );
     ( "qcheck-checker-fuzz",
       [

@@ -204,7 +204,8 @@ let test_assumption_units_lift () =
     let expected = Clause.of_list [ nlit 0; lit 2 ] in
     Alcotest.(check bool) "lifted subsumes" true (Clause.subsumes lifted expected);
     let f = formula_of_lists [ [ nlit 0; lit 1 ]; [ nlit 1; lit 2 ] ] in
-    (match Proof.Checker.check_derivation proof ~root:lifted_root ~expected ~formula:f () with
+    let leaf_ok = Cnf.Formula.mem f in
+    (match Proof.Checker.check_derivation proof ~root:lifted_root ~expected ~leaf_ok () with
     | Ok _ -> ()
     | Error e -> Alcotest.failf "lifted derivation rejected: %a" Proof.Checker.pp_error e)
   | Solver.Sat _ | Solver.Unknown | Solver.Unsat_assuming _ -> Alcotest.fail "expected UNSAT")
@@ -272,7 +273,8 @@ let test_native_assumptions_lemma () =
     let expected = Clause.of_list [ nlit 0; lit 2 ] in
     Alcotest.(check bool) "lemma subsumes" true (Clause.subsumes clause expected);
     let f = formula_of_lists [ [ nlit 0; lit 1 ]; [ nlit 1; lit 2 ] ] in
-    match Proof.Checker.check_derivation (Solver.proof s) ~root:pid ~expected ~formula:f () with
+    let leaf_ok = Cnf.Formula.mem f in
+    match Proof.Checker.check_derivation (Solver.proof s) ~root:pid ~expected ~leaf_ok () with
     | Ok _ -> ()
     | Error e -> Alcotest.failf "lemma derivation rejected: %a" Proof.Checker.pp_error e)
   | Solver.Sat _ | Solver.Unsat _ | Solver.Unknown -> Alcotest.fail "expected Unsat_assuming"
@@ -348,7 +350,8 @@ let test_native_assumptions_random () =
       let negated = Clause.of_list (List.map Lit.neg assumptions) in
       Alcotest.(check bool) "lemma over negated assumptions" true (Clause.subsumes clause negated);
       (match
-         Proof.Checker.check_derivation (Solver.proof s) ~root:pid ~expected:negated ~formula:f ()
+         Proof.Checker.check_derivation (Solver.proof s) ~root:pid ~expected:negated
+           ~leaf_ok:(Cnf.Formula.mem f) ()
        with
       | Ok _ -> ()
       | Error e -> Alcotest.failf "lemma rejected: %a" Proof.Checker.pp_error e)

@@ -99,6 +99,16 @@ let test_key_sees_live_changes () =
   Alcotest.(check bool) "live change moves the key" false
     (Key.equal k (Key.of_pair negated revised))
 
+(* Keys must stay byte-identical across releases, or every existing
+   store goes cold: this digest is the one existing stores hold for
+   the pair. *)
+let test_key_pinned () =
+  let a = Circuits.Adder.ripple_carry 8 and b = Circuits.Adder.carry_lookahead 8 in
+  let pinned = "77297dc3bf973b3ed85305efb1b7c9d3" in
+  Alcotest.(check string) "of_pair" pinned (Key.to_hex (Key.of_pair a b));
+  Alcotest.(check string) "of_normalized" pinned
+    (Key.to_hex (Key.of_normalized (Key.normalize a) (Key.normalize b)))
+
 let test_key_of_hex_rejects () =
   List.iter
     (fun s ->
@@ -495,6 +505,73 @@ let test_store_reads_legacy_v1_objects () =
       | Error e -> Alcotest.failf "legacy certificate rejected: %a" Certify.pp_error e);
       Alcotest.(check int) "served as a hit" 1 (Store.stats store).Store.hits)
 
+(* A certificate whose chains all resolve but one of whose leaves is
+   not a clause of the pair's miter, planted in each body format: the
+   paranoid read (the netlist leaf test) rejects it through both
+   reads, counts it corrupt and drops it. *)
+let test_store_rejects_forged_leaf () =
+  let golden, revised, _ = equivalent_pair () in
+  let key = Key.of_pair golden revised in
+  let proof, root = Test_edge.forged_leaf_proof (Aig.Miter.build golden revised) in
+  let bodies =
+    [
+      ("bin3", Proof.Binfmt.encode_hinted proof ~root);
+      ("bin", Proof.Binfmt.encode proof ~root);
+      ("trace", Proof.Export.trace_to_string proof ~root);
+    ]
+  in
+  List.iter
+    (fun (format_name, body) ->
+      List.iter
+        (fun (reader, hit) ->
+          with_temp_dir "cecd-store" (fun dir ->
+              let what = format_name ^ " via " ^ reader in
+              let probe = Store.create ~dir () in
+              write_file (Store.entry_path probe key)
+                (Printf.sprintf "cecproof-cert %d\nequivalent %s\n%s" Store.format_version
+                   format_name body);
+              (* Structurally sound, so opening the store adopts it. *)
+              let store = Store.create ~dir () in
+              Alcotest.(check bool) (what ^ ": adopted") true (Store.mem store key);
+              Alcotest.(check bool) (what ^ ": forged leaf is a miss") false
+                (hit store key ~golden ~revised);
+              let s = Store.stats store in
+              Alcotest.(check int) (what ^ ": counted as corrupt") 1 s.Store.corrupt;
+              Alcotest.(check int) (what ^ ": entry dropped") 0 s.Store.entries))
+        store_readers)
+    bodies
+
+(* A body whose header varint decodes past the sign bit (negative node
+   or shard count) is corrupt like any other: the read counts and
+   drops it without raising, and the batch solves the pair again and
+   re-stores it, so the next run hits. *)
+let test_store_negative_varint_resolved () =
+  let golden, revised, _ = equivalent_pair () in
+  let key = Key.of_pair golden revised in
+  List.iter
+    (fun (format_name, body) ->
+      with_temp_dir "cecd-batch" (fun dir ->
+          let what = format_name ^ " body" in
+          let path name g =
+            let p = Filename.concat dir name in
+            Aig.Aiger.write_file p g;
+            p
+          in
+          let pairs = [ (path "golden.aig" golden, path "revised.aig" revised) ] in
+          let store = Store.create ~dir:(Filename.concat dir "store") () in
+          let engine = Engine.default_config in
+          let run () = Batch.run ~store ~engine pairs in
+          Alcotest.(check int) (what ^ ": cold run proves") 1 (run ()).Batch.proved;
+          write_file (Store.entry_path store key)
+            (Printf.sprintf "cecproof-cert %d\nequivalent %s\n%s" Store.format_version
+               format_name body);
+          let again = run () in
+          Alcotest.(check int) (what ^ ": corrupt object is a miss") 0 again.Batch.hits;
+          Alcotest.(check int) (what ^ ": pair solved again") 1 again.Batch.proved;
+          Alcotest.(check int) (what ^ ": counted as corrupt") 1 (Store.stats store).Store.corrupt;
+          Alcotest.(check int) (what ^ ": warm run hits") 1 (run ()).Batch.hits))
+    [ ("bin3", Test_edge.negative_shard_count); ("bin", Test_edge.negative_node_count) ]
+
 let test_store_lru_eviction () =
   with_temp_dir "cecd-store" (fun dir ->
       (* Small fabricated counterexample entries with distinct keys. *)
@@ -855,6 +932,7 @@ let suites =
         Alcotest.test_case "dead nodes do not perturb keys" `Quick test_key_ignores_dead_nodes;
         Alcotest.test_case "live changes move keys" `Quick test_key_sees_live_changes;
         Alcotest.test_case "of_hex rejects malformed input" `Quick test_key_of_hex_rejects;
+        Alcotest.test_case "keys pinned across releases" `Quick test_key_pinned;
       ] );
     ( "service-protocol",
       [
@@ -892,6 +970,10 @@ let suites =
           test_store_hits_leave_index_alone;
         Alcotest.test_case "LRU follows hits after flush and reopen" `Quick
           test_store_lru_follows_flushed_hits;
+        Alcotest.test_case "forged leaf rejected in every format" `Quick
+          test_store_rejects_forged_leaf;
+        Alcotest.test_case "negative varint body dropped and solved again" `Quick
+          test_store_negative_varint_resolved;
       ] );
     ( "service-engine",
       [

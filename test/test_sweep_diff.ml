@@ -31,13 +31,13 @@ let verdict_of = function
 
 (* Certificate must pass the random-access checker against a rebuilt
    miter AND, re-encoded as a CECB binary, the bounded-memory streaming
-   checker against its own formula. *)
+   checker against its own miter. *)
 let check_certificate ~what golden revised (cert : Cec.certificate) =
   (match Certify.validate_against cert golden revised with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "%s: certificate rejected: %a" what Certify.pp_error e);
   let data = Proof.Binfmt.encode cert.Cec.proof ~root:cert.Cec.root in
-  match Proof.Stream_check.check ~formula:cert.Cec.formula data with
+  match Proof.Stream_check.check ~leaf_ok:(Cnf.Tseitin.miter_mem cert.Cec.miter) data with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "%s: streaming checker rejected: %s" what e.Proof.Stream_check.reason
 
@@ -151,13 +151,14 @@ let prop_random_differential =
    lemma insertion of the incremental engine could most plausibly
    break. *)
 let audit_incremental_proof ~what (cert : Cec.certificate) =
+  let formula = Cnf.Tseitin.miter_formula cert.Cec.miter in
   let proved = Hashtbl.create 256 in
   Array.iter
     (fun id ->
       (match R.node cert.Cec.proof id with
       | R.Leaf { assumption = true; _ } -> Alcotest.failf "%s: assumption leaf reachable" what
       | R.Leaf { clause; _ } ->
-        if not (Formula.mem cert.Cec.formula clause) then
+        if not (Formula.mem formula clause) then
           Alcotest.failf "%s: leaf outside the miter CNF" what
       | R.Chain { antecedents; _ } ->
         Array.iter
@@ -322,7 +323,7 @@ let test_stack_smoke_both_modes () =
           Proof.Binfmt.encode_hinted ~boundaries:cert.Cec.boundaries cert.Cec.proof
             ~root:cert.Cec.root
         in
-        match Proof.Hint_check.check ~formula:cert.Cec.formula body with
+        match Proof.Hint_check.check ~leaf_ok:(Cnf.Tseitin.miter_mem cert.Cec.miter) body with
         | Ok _ -> ()
         | Error e ->
           Alcotest.failf "%s: hinted checker rejected the service certificate: %a" what
