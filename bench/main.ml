@@ -1,6 +1,7 @@
-(* Experiment harness: regenerates every table (T1-T4) and figure
-   series (F1-F4) documented in EXPERIMENTS.md, plus one Bechamel
-   micro-benchmark per experiment.
+(* Experiment harness: regenerates every table (T1-T7) and figure
+   series (F1-F8) documented in EXPERIMENTS.md, the service experiments
+   P2, P5, P7 and P10, plus one Bechamel micro-benchmark per table or
+   figure.  Performance is measured by perfbench (perfbench/README.md).
 
    Usage:
      dune exec bench/main.exe            run all experiments + bechamel
@@ -9,7 +10,6 @@
 
 module Cec = Cec_core.Cec
 module Sweep = Cec_core.Sweep
-module Parallel = Cec_core.Parallel
 module Simclass = Cec_core.Simclass
 module Pstats = Proof.Pstats
 
@@ -575,53 +575,6 @@ let f8 () =
     ~columns:[ "frames"; "miter ANDs"; "mono ms"; "mono res"; "sweep ms"; "sweep res" ]
     ~rows
 
-(* --- P1: parallel partitioned CEC (domain scaling + stitched proofs) --- *)
-
-let p1 () =
-  let parallel_cfg num_domains = { Parallel.default_config with Parallel.num_domains } in
-  let rows =
-    List.map
-      (fun case ->
-        let golden = case.Circuits.Suite.golden () and revised = case.Circuits.Suite.revised () in
-        let sweep, sweep_t = check_case sweeping_engine case in
-        let run nd = time (fun () -> Parallel.check ~config:(parallel_cfg nd) golden revised) in
-        let p1r, t1 = run 1 in
-        let _, t2 = run 2 in
-        let _, t4 = run 4 in
-        let stitched =
-          match p1r.Parallel.verdict with
-          | Cec.Equivalent cert -> Pstats.of_root cert.Cec.proof ~root:cert.Cec.root
-          | Cec.Inequivalent _ | Cec.Undecided -> failwith "benchmark case not proved (bug)"
-        in
-        let sweep_res =
-          (let cert = cert_of sweep in
-           Pstats.of_root cert.Cec.proof ~root:cert.Cec.root)
-            .Pstats.resolutions
-        in
-        [
-          case.Circuits.Suite.name;
-          string_of_int (Array.length p1r.Parallel.stats.Parallel.partitions);
-          Tables.fmt_ms sweep_t;
-          Tables.fmt_ms t1;
-          Tables.fmt_ms t2;
-          Tables.fmt_ms t4;
-          Tables.fmt_ratio t1 t4;
-          string_of_int sweep_res;
-          string_of_int stitched.Pstats.resolutions;
-        ])
-      Circuits.Suite.default
-  in
-  Tables.print
-    ~title:
-      "P1: parallel partitioned CEC (per-output jobs, stitched certificate; 1/2/4 domains vs \
-       sequential sweeping)"
-    ~columns:
-      [
-        "case"; "parts"; "seq ms"; "1-dom ms"; "2-dom ms"; "4-dom ms"; "scaling"; "seq res";
-        "stitched res";
-      ]
-    ~rows
-
 (* --- P2: certificate store, cold solve vs warm hit --- *)
 
 let rec rm_rf path =
@@ -688,176 +641,6 @@ let p2 () =
     ~columns:[ "case"; "cold ms"; "warm ms"; "speedup"; "status"; "cert bytes"; "conflicts" ]
     ~rows;
   Format.printf "store: %a@." Service.Store.pp_stats (Service.Store.stats store)
-
-(* --- P3: observability — registry export + instrumentation overhead --- *)
-
-let p3 () =
-  (* The p1 workload (4-domain partitioned check over the suite), once
-     per case under a fresh registry.  The instrumentation cannot be
-     compiled out, so the overhead column is analytic: a micro-timed
-     [Counter.incr] cost times the number of counter ticks the case
-     recorded, as a share of the case's wall time.  The merged registry
-     is exported to BENCH_p3.json so the perf trajectory is tracked in
-     machine-readable form from this PR on. *)
-  let incr_ns =
-    let reg = Obs.Registry.create () in
-    let c = Obs.Registry.counter reg "bench.calibrate" in
-    let n = 5_000_000 in
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to n do
-      Obs.Counter.incr c
-    done;
-    1e9 *. (Unix.gettimeofday () -. t0) /. float_of_int n
-  in
-  let merged = Obs.Registry.create () in
-  let config = { Parallel.default_config with Parallel.num_domains = 4 } in
-  let rows =
-    List.map
-      (fun case ->
-        let golden = case.Circuits.Suite.golden () and revised = case.Circuits.Suite.revised () in
-        let reg = Obs.Registry.create () in
-        let report, t =
-          Obs.with_ambient reg (fun () -> time (fun () -> Parallel.check ~config golden revised))
-        in
-        (match report.Parallel.verdict with
-        | Cec.Equivalent _ -> ()
-        | Cec.Inequivalent _ | Cec.Undecided -> failwith "benchmark case not proved (bug)");
-        let counters = Obs.Registry.counters reg in
-        let value name = try List.assoc name counters with Not_found -> 0 in
-        let ticks = List.fold_left (fun acc (_, v) -> acc + v) 0 counters in
-        let overhead = 100.0 *. (float_of_int ticks *. incr_ns /. 1e9) /. t in
-        Obs.Gauge.set
-          (Obs.Registry.gauge merged ("bench.p3." ^ case.Circuits.Suite.name ^ "_ms"))
-          (1000.0 *. t);
-        Obs.Registry.merge_into ~into:merged reg;
-        [
-          case.Circuits.Suite.name;
-          Tables.fmt_ms t;
-          string_of_int (value "sat.conflicts");
-          string_of_int (value "sat.propagations");
-          string_of_int (value "sweep.sat_calls");
-          string_of_int (value "proof.chains");
-          string_of_int ticks;
-          Printf.sprintf "%.2f%%" overhead;
-        ])
-      Circuits.Suite.default
-  in
-  Tables.print
-    ~title:
-      (Printf.sprintf
-         "P3: observability registry over the p1 workload (4 domains; Counter.incr ~ %.1f ns, \
-          overhead = ticks x incr / wall)"
-         incr_ns)
-    ~columns:
-      [ "case"; "ms"; "conflicts"; "props"; "SAT calls"; "chains"; "obs ticks"; "overhead" ]
-    ~rows;
-  Out_channel.with_open_text "BENCH_p3.json" (fun oc ->
-      output_string oc (Obs.Export.stats_json merged));
-  Printf.printf "wrote BENCH_p3.json (%d counters)\n"
-    (List.length (Obs.Registry.counters merged))
-
-let p4 () =
-  (* Certificate formats over the p1 workload: for every suite case,
-     solve once (4-domain partitioned check), then export the same
-     refutation as an ASCII trace and as a CECB binary certificate and
-     validate each with its own checker — parse + materialized
-     [Checker.check] for the trace, one streaming bounded-memory pass
-     for the binary.  Bytes, check times and the streaming peak live
-     set go to BENCH_p4.json. *)
-  let merged = Obs.Registry.create () in
-  let config = { Parallel.default_config with Parallel.num_domains = 4 } in
-  let total_ascii = ref 0 and total_bin = ref 0 in
-  let rows =
-    List.map
-      (fun case ->
-        let golden = case.Circuits.Suite.golden () and revised = case.Circuits.Suite.revised () in
-        let reg = Obs.Registry.create () in
-        Obs.with_ambient reg (fun () ->
-            let report = Parallel.check ~config golden revised in
-            let cert =
-              match report.Parallel.verdict with
-              | Cec.Equivalent cert -> cert
-              | Cec.Inequivalent _ | Cec.Undecided -> failwith "benchmark case not proved (bug)"
-            in
-            let proof = cert.Cec.proof and root = cert.Cec.root in
-            let leaf_ok = Cnf.Tseitin.miter_mem cert.Cec.miter in
-            let ascii, t_ascii_enc =
-              time (fun () ->
-                  let trimmed, troot = Proof.Trim.cone proof ~root in
-                  Proof.Export.trace_to_string trimmed ~root:troot)
-            in
-            let bin, t_bin_enc = time (fun () -> Proof.Binfmt.encode proof ~root) in
-            let chains_checked, t_ascii_chk =
-              time (fun () ->
-                  let p, r = Proof.Export.trace_of_string ascii in
-                  match Proof.Checker.check p ~root:r ~leaf_ok () with
-                  | Ok chains -> chains
-                  | Error e -> failwith (Format.asprintf "ascii check failed: %a" Proof.Checker.pp_error e))
-            in
-            let st, t_bin_chk =
-              time (fun () ->
-                  match Proof.Stream_check.check ~leaf_ok bin with
-                  | Ok st -> st
-                  | Error e ->
-                    failwith (Format.asprintf "binary check failed: %a" Proof.Stream_check.pp_error e))
-            in
-            if st.Proof.Stream_check.chains <> chains_checked then
-              failwith "checkers disagree on chain count (bug)";
-            let ratio = float_of_int (String.length ascii) /. float_of_int (String.length bin) in
-            total_ascii := !total_ascii + String.length ascii;
-            total_bin := !total_bin + String.length bin;
-            let gauge suffix v =
-              Obs.Gauge.set
-                (Obs.Registry.gauge merged ("bench.p4." ^ case.Circuits.Suite.name ^ suffix))
-                v
-            in
-            gauge "_ascii_bytes" (float_of_int (String.length ascii));
-            gauge "_bin_bytes" (float_of_int (String.length bin));
-            gauge "_ratio" ratio;
-            gauge "_ascii_check_ms" (1000.0 *. t_ascii_chk);
-            gauge "_bin_check_ms" (1000.0 *. t_bin_chk);
-            gauge "_peak_live" (float_of_int st.Proof.Stream_check.peak_live);
-            Obs.Registry.merge_into ~into:merged reg;
-            [
-              case.Circuits.Suite.name;
-              string_of_int (String.length ascii);
-              string_of_int (String.length bin);
-              Printf.sprintf "%.2fx" ratio;
-              Tables.fmt_ms (t_ascii_enc +. t_bin_enc);
-              Tables.fmt_ms t_ascii_chk;
-              Tables.fmt_ms t_bin_chk;
-              string_of_int st.Proof.Stream_check.chains;
-              string_of_int st.Proof.Stream_check.peak_live;
-            ]))
-      Circuits.Suite.default
-  in
-  Tables.print
-    ~title:
-      "P4: certificate formats (ASCII trace vs CECB binary) over the p1 workload (4 domains)"
-    ~columns:
-      [ "case"; "ascii B"; "bin B"; "ratio"; "enc ms"; "ascii chk"; "bin chk"; "chains"; "peak live" ]
-    ~rows;
-  let total_ratio = float_of_int !total_ascii /. float_of_int !total_bin in
-  Obs.Gauge.set (Obs.Registry.gauge merged "bench.p4.total_ascii_bytes") (float_of_int !total_ascii);
-  Obs.Gauge.set (Obs.Registry.gauge merged "bench.p4.total_bin_bytes") (float_of_int !total_bin);
-  Obs.Gauge.set (Obs.Registry.gauge merged "bench.p4.total_ratio") total_ratio;
-  Printf.printf "total: ascii %d B, binary %d B (%.2fx smaller)\n" !total_ascii !total_bin
-    total_ratio;
-  (* Acceptance: streaming must genuinely beat materializing — across
-     the workload the live high-water mark (gauges merge by max) stays
-     strictly below the chain total (counters merge by sum).  Both come
-     from the lib/obs registry the streaming checker feeds. *)
-  let peak =
-    try int_of_float (List.assoc "proof.stream.peak_live" (Obs.Registry.gauges merged))
-    with Not_found -> 0
-  and chain_total =
-    try List.assoc "proof.stream.chains" (Obs.Registry.counters merged) with Not_found -> 0
-  in
-  Printf.printf "streaming: peak live %d clauses vs %d chains checked (%s)\n" peak chain_total
-    (if peak < chain_total then "bounded-memory OK" else "NOT below chain count");
-  Out_channel.with_open_text "BENCH_p4.json" (fun oc ->
-      output_string oc (Obs.Export.stats_json merged));
-  Printf.printf "wrote BENCH_p4.json (%d gauges)\n" (List.length (Obs.Registry.gauges merged))
 
 (* --- P5: availability under injected faults --- *)
 
@@ -990,81 +773,6 @@ let p5 () =
   Out_channel.with_open_text "BENCH_p5.json" (fun oc ->
       output_string oc (Obs.Export.stats_json merged));
   Printf.printf "wrote BENCH_p5.json (%d gauges)\n" (List.length (Obs.Registry.gauges merged))
-
-let p6 () =
-  (* Per-pair vs single-instance incremental sweeping on the SAT-bound
-     rows of the suite (the mul*/add32 cases that dominate BENCH_p3).
-     Each case runs the 4-domain partitioned check once per mode under
-     a fresh registry; wall time, SAT calls, conflicts, the queries
-     settled by root-fact reuse and the learned clauses carried across
-     queries land side by side, and per-case gauges (including the
-     speedup) go to BENCH_p6.json. *)
-  let merged = Obs.Registry.create () in
-  let sat_bound =
-    List.filter
-      (fun case ->
-        let n = case.Circuits.Suite.name in
-        String.starts_with ~prefix:"mul" n || String.starts_with ~prefix:"add32" n)
-      Circuits.Suite.default
-  in
-  let config mode =
-    {
-      Parallel.default_config with
-      Parallel.num_domains = 4;
-      engine = Cec.Sweeping { Sweep.default_config with Sweep.mode };
-    }
-  in
-  let rows =
-    List.map
-      (fun case ->
-        let golden = case.Circuits.Suite.golden () and revised = case.Circuits.Suite.revised () in
-        let run mode =
-          let reg = Obs.Registry.create () in
-          let report, t =
-            Obs.with_ambient reg (fun () ->
-                time (fun () -> Parallel.check ~config:(config mode) golden revised))
-          in
-          (match report.Parallel.verdict with
-          | Cec.Equivalent _ -> ()
-          | Cec.Inequivalent _ | Cec.Undecided -> failwith "benchmark case not proved (bug)");
-          (reg, t)
-        in
-        let reg_pp, t_pp = run Sweep.Perpair in
-        let reg_incr, t_incr = run Sweep.Incremental in
-        let value reg name = try List.assoc name (Obs.Registry.counters reg) with Not_found -> 0 in
-        let speedup = t_pp /. t_incr in
-        let name = case.Circuits.Suite.name in
-        Obs.Gauge.set (Obs.Registry.gauge merged ("bench.p6." ^ name ^ "_perpair_ms")) (1000.0 *. t_pp);
-        Obs.Gauge.set (Obs.Registry.gauge merged ("bench.p6." ^ name ^ "_incr_ms")) (1000.0 *. t_incr);
-        Obs.Gauge.set (Obs.Registry.gauge merged ("bench.p6." ^ name ^ "_speedup")) speedup;
-        Obs.Registry.merge_into ~into:merged reg_incr;
-        [
-          name;
-          Tables.fmt_ms t_pp;
-          Tables.fmt_ms t_incr;
-          Printf.sprintf "%.1fx" speedup;
-          string_of_int (value reg_pp "sweep.sat_calls");
-          string_of_int (value reg_incr "sweep.sat_calls");
-          string_of_int (value reg_incr "sweep.incremental_reuse");
-          string_of_int (value reg_pp "sat.conflicts");
-          string_of_int (value reg_incr "sat.conflicts");
-          string_of_int (value reg_incr "sat.clauses_carried");
-        ])
-      sat_bound
-  in
-  Tables.print
-    ~title:
-      "P6: per-pair vs incremental sweeping on the SAT-bound rows (4 domains; one persistent \
-       solver per partition in incr mode)"
-    ~columns:
-      [
-        "case"; "perpair ms"; "incr ms"; "speedup"; "calls pp"; "calls incr"; "reused";
-        "confl pp"; "confl incr"; "carried";
-      ]
-    ~rows;
-  Out_channel.with_open_text "BENCH_p6.json" (fun oc ->
-      output_string oc (Obs.Export.stats_json merged));
-  Printf.printf "wrote BENCH_p6.json (%d gauges)\n" (List.length (Obs.Registry.gauges merged))
 
 (* --- P7: fleet load generator (sharding, zipf skew, failover) --- *)
 
@@ -1615,114 +1323,6 @@ let p10 () =
       output_string oc (Obs.Export.stats_json merged));
   Printf.printf "wrote BENCH_p10.json (%d gauges)\n" (List.length (Obs.Registry.gauges merged))
 
-(* --- P8: hinted certificate checking vs solving --- *)
-
-let p8 () =
-  (* Check-vs-solve over the p1 workload: for every suite case, solve
-     once (4-domain partitioned check) with the wall time recorded,
-     export the refutation as a hinted CECB v3 certificate carrying
-     the prover's partition boundaries, and re-validate it three ways:
-     the searching streaming checker, the search-free hinted checker,
-     and the hinted checker over 4 domains.  Acceptance: on every row
-     the hinted check is faster than the solve, the hinted checker
-     performs zero search (hints_followed = steps), and the hinted
-     peak live set never exceeds the streaming peak.  Gauges go to
-     BENCH_p8.json. *)
-  let merged = Obs.Registry.create () in
-  let config = { Parallel.default_config with Parallel.num_domains = 4 } in
-  let violations = ref [] in
-  let rows =
-    List.map
-      (fun case ->
-        let golden = case.Circuits.Suite.golden () and revised = case.Circuits.Suite.revised () in
-        let reg = Obs.Registry.create () in
-        Obs.with_ambient reg (fun () ->
-            let report, t_solve = time (fun () -> Parallel.check ~config golden revised) in
-            let cert =
-              match report.Parallel.verdict with
-              | Cec.Equivalent cert -> cert
-              | Cec.Inequivalent _ | Cec.Undecided -> failwith "benchmark case not proved (bug)"
-            in
-            let leaf_ok = Cnf.Tseitin.miter_mem cert.Cec.miter in
-            let bin, _t_enc =
-              time (fun () ->
-                  Proof.Binfmt.encode_hinted ~boundaries:cert.Cec.boundaries cert.Cec.proof
-                    ~root:cert.Cec.root)
-            in
-            let stream_st, t_stream =
-              time (fun () ->
-                  match Proof.Stream_check.check ~leaf_ok bin with
-                  | Ok st -> st
-                  | Error e ->
-                    failwith
-                      (Format.asprintf "stream check failed: %a" Proof.Stream_check.pp_error e))
-            in
-            let hint ~jobs =
-              time (fun () ->
-                  match Proof.Hint_check.check ~leaf_ok ~jobs bin with
-                  | Ok st -> st
-                  | Error e ->
-                    failwith
-                      (Format.asprintf "hinted check failed (jobs=%d): %a" jobs
-                         Proof.Hint_check.pp_error e))
-            in
-            let h1, t_hint1 = hint ~jobs:1 in
-            let h4, t_hint4 = hint ~jobs:4 in
-            if h1.Proof.Hint_check.hints_followed <> h1.Proof.Hint_check.steps then
-              failwith "hinted checker fell back to search (bug)";
-            if h1.Proof.Hint_check.peak_live > stream_st.Proof.Stream_check.peak_live then
-              failwith "hinted peak live exceeds the streaming peak (bug)";
-            if h1 <> h4 then failwith "check stats depend on jobs (bug)";
-            let t_hint = Float.min t_hint1 t_hint4 in
-            if t_hint >= t_solve then
-              violations := case.Circuits.Suite.name :: !violations;
-            let speedup = t_solve /. Float.max t_hint1 1e-9 in
-            let gauge suffix v =
-              Obs.Gauge.set
-                (Obs.Registry.gauge merged ("bench.p8." ^ case.Circuits.Suite.name ^ suffix))
-                v
-            in
-            gauge "_solve_ms" (1000.0 *. t_solve);
-            gauge "_stream_check_ms" (1000.0 *. t_stream);
-            gauge "_hint_check_ms" (1000.0 *. t_hint1);
-            gauge "_hint_check_j4_ms" (1000.0 *. t_hint4);
-            gauge "_check_speedup" speedup;
-            gauge "_bin_bytes" (float_of_int (String.length bin));
-            gauge "_shards" (float_of_int h1.Proof.Hint_check.shards);
-            gauge "_steps" (float_of_int h1.Proof.Hint_check.steps);
-            gauge "_peak_live" (float_of_int h1.Proof.Hint_check.peak_live);
-            Obs.Registry.merge_into ~into:merged reg;
-            [
-              case.Circuits.Suite.name;
-              Tables.fmt_ms t_solve;
-              Tables.fmt_ms t_stream;
-              Tables.fmt_ms t_hint1;
-              Tables.fmt_ms t_hint4;
-              string_of_int h1.Proof.Hint_check.shards;
-              string_of_int h1.Proof.Hint_check.steps;
-              string_of_int h1.Proof.Hint_check.peak_live;
-              Printf.sprintf "%.0fx" speedup;
-            ]))
-      Circuits.Suite.default
-  in
-  Tables.print
-    ~title:
-      "P8: hinted certificate checking vs solving (CECB v3, prover boundaries, 4 domains)"
-    ~columns:
-      [
-        "case"; "solve"; "stream chk"; "hint chk"; "hint j4"; "shards"; "steps"; "peak live";
-        "speedup";
-      ]
-    ~rows;
-  (* Acceptance: re-checking a hinted certificate must be cheaper than
-     re-solving on every row of the workload. *)
-  (match !violations with
-  | [] -> Printf.printf "check < solve on all %d rows\n" (List.length rows)
-  | cases -> failwith ("hinted check slower than solve on: " ^ String.concat ", " cases));
-  Out_channel.with_open_text "BENCH_p8.json" (fun oc ->
-      output_string oc (Obs.Export.stats_json merged));
-  Printf.printf "wrote BENCH_p8.json (%d gauges)\n" (List.length (Obs.Registry.gauges merged))
-
 (* --- Bechamel micro-benchmarks: one Test.make per experiment --- *)
 
 
@@ -1819,14 +1419,9 @@ let experiments =
   [
     ("t1", t1); ("t2", t2); ("t2h", t2h); ("t3", t3); ("t4", t4); ("t5", t5);
     ("t6", t6); ("t7", t7); ("f1", f1); ("f2", f2); ("f3", f3); ("f4", f4); ("f5", f5); ("f6", f6); ("f7", f7); ("f8", f8);
-    ("p1", p1);
     ("p2", p2);
-    ("p3", p3);
-    ("p4", p4);
     ("p5", p5);
-    ("p6", p6);
     ("p7", p7);
-    ("p8", p8);
     ("p10", p10);
   ]
 
@@ -1844,7 +1439,7 @@ let () =
       | None ->
         if name = "bechamel" then run_bechamel ()
         else begin
-          Printf.eprintf "unknown experiment %S (t1-t7/t2h, f1-f8, p1-p8, p10, bechamel)\n" name;
+          Printf.eprintf "unknown experiment %S (t1-t7/t2h, f1-f8, p2, p5, p7, p10, bechamel)\n" name;
           exit 2
         end)
     selected

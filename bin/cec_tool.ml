@@ -24,7 +24,6 @@
 
 module Cec = Cec_core.Cec
 module Sweep = Cec_core.Sweep
-module Parallel = Cec_core.Parallel
 
 (* Netlists are read as BLIF or AIGER depending on the extension. *)
 let read_aiger path =
@@ -169,21 +168,7 @@ let with_faults faults k =
       Fault.install s;
       Fun.protect ~finally:Fault.disable k)
 
-let print_partition (p : Parallel.partition) =
-  let status =
-    match p.Parallel.status with
-    | Parallel.Proved -> "proved"
-    | Parallel.Refuted -> "refuted"
-    | Parallel.Gave_up -> "gave-up"
-    | Parallel.Trivial -> "trivial"
-    | Parallel.Shared o -> Printf.sprintf "shared with #%d" o
-    | Parallel.Crashed -> "crashed"
-  in
-  Format.printf "partition %3d: %-18s (ands=%d, attempts=%d, conflicts=%d, sat_calls=%d)@."
-    p.Parallel.output status p.Parallel.cone_ands p.Parallel.attempts p.Parallel.conflicts
-    p.Parallel.sat_calls
-
-let run_cec path_a path_b engine_name words no_lemmas max_conflicts sweep_mode jobs stats_out
+let run_cec path_a path_b engine_name words no_lemmas max_conflicts sweep_mode stats_out
     trace_out proof_out cert_format validate faults =
   with_faults faults @@ fun () ->
   match (read_aiger path_a, read_aiger path_b) with
@@ -206,42 +191,11 @@ let run_cec path_a path_b engine_name words no_lemmas max_conflicts sweep_mode j
       2
     | Ok engine -> (
       let reg = Obs.Registry.create () in
-      (* --jobs N >= 1 always takes the partitioned path, so --jobs 1
-         and --jobs 4 run the same per-partition work and produce
-         identical aggregate counters; 0 (the default) is the
-         sequential single-miter engine. *)
-      let check () =
-        Obs.with_ambient reg (fun () ->
-            if jobs <= 0 then (Cec.check engine a b, None)
-            else begin
-              let config =
-                {
-                  Parallel.default_config with
-                  Parallel.num_domains = jobs;
-                  engine;
-                  budget = max_conflicts;
-                }
-              in
-              let par = Parallel.check ~config a b in
-              let stats = par.Parallel.stats in
-              Array.iter print_partition stats.Parallel.partitions;
-              Format.printf "parallel: %d partitions on %d domains, %d round(s)@."
-                (Array.length stats.Parallel.partitions)
-                stats.Parallel.domains stats.Parallel.rounds;
-              ( {
-                  Cec.verdict = par.Parallel.verdict;
-                  sweep_stats = None;
-                  solver_conflicts = stats.Parallel.conflicts;
-                  sat_calls = stats.Parallel.sat_calls;
-                },
-                par.Parallel.degraded )
-            end)
-      in
-      match check () with
+      match Obs.with_ambient reg (fun () -> Cec.check engine a b) with
       | exception Invalid_argument msg ->
         prerr_endline msg;
         2
-      | report, degraded -> (
+      | report -> (
         export_obs reg ~stats_out ~trace_out;
         match report.Cec.verdict with
         | Cec.Equivalent cert ->
@@ -279,9 +233,7 @@ let run_cec path_a path_b engine_name words no_lemmas max_conflicts sweep_mode j
           print_cex cex;
           1
         | Cec.Undecided ->
-          (match degraded with
-          | Some reason -> Printf.printf "UNCERTIFIED (%s)\n" reason
-          | None -> print_endline "UNDECIDED (conflict budget exhausted)");
+          print_endline "UNDECIDED (conflict budget exhausted)";
           4)))
 
 let run_check_proof miter_path trace_path jobs =
@@ -818,9 +770,8 @@ let faults_arg =
            $(b,store.write:0.05,worker.crash:0.01@seed=42): each named injection point fires \
            with the given probability, drawn from one seeded PRNG stream so a spec replays the \
            same fault schedule.  Points: store.write, store.torn_write, store.corrupt, \
-           worker.crash, engine.budget, proof.lift, peer.slow, peer.drop, peer.reset, \
-           peer.partition.  Omitted = disabled (the points compile to a single boolean \
-           load).")
+           worker.crash, engine.budget, peer.slow, peer.drop, peer.reset, peer.partition.  \
+           Omitted = disabled (the points compile to a single boolean load).")
 
 let cert_format_conv =
   Arg.enum
@@ -886,9 +837,9 @@ let cec_cmd =
           ~doc:
             "Sweeping engine mode: $(b,perpair) (a fresh search per equivalence query, on one \
              solver reset between queries) or \
-             $(b,incr) (one persistent incremental solver per partition — cone CNF loaded \
-             once, queries issued as solver assumptions, learned clauses and proved lemmas \
-             carried across queries).")
+             $(b,incr) (one persistent incremental solver for the whole miter — its CNF \
+             loaded once, queries issued as solver assumptions, learned clauses and proved \
+             lemmas carried across queries).")
   in
   let words =
     Arg.(
@@ -911,25 +862,18 @@ let cec_cmd =
   let validate =
     Arg.(
       value & flag
-      & info [ "validate" ] ~doc:"Re-check the certificate against a rebuilt miter CNF.")
+      & info [ "validate" ]
+          ~doc:
+            "Re-check the certificate against a miter rebuilt from the two netlists; leaves are \
+             tested on that netlist, no CNF is built.")
   in
   let cert_format =
     cert_format_arg ~default:Service.Store.Trace
       ~doc:
         "Format for $(b,--proof): $(b,trace) (ASCII resolution trace, the default), $(b,bin) \
          (compact CECB binary certificate with deletion records) or $(b,bin3) (hinted CECB: \
-         pivot hints plus a shard table on the prover's partition boundaries, checkable without \
+         pivot hints plus a shard table on the prover's section boundaries, checkable without \
          search and in parallel).  $(b,check-proof) auto-detects all three."
-  in
-  let jobs =
-    Arg.(
-      value & opt int 0
-      & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:
-            "Partition the miter per output and solve the partitions on $(docv) domains, \
-             stitching the per-partition refutations into one certificate.  0 (default) keeps \
-             the sequential single-miter engine; any $(docv) >= 1 takes the partitioned path, \
-             so aggregate counters are identical for every worker count.")
   in
   Cmd.v
     (Cmd.info "cec" ~doc:"Check two AIGER circuits for equivalence."
@@ -942,7 +886,7 @@ let cec_cmd =
          ])
     Term.(
       const run_cec $ file_pos 0 "Golden AIGER file." $ file_pos 1 "Revised AIGER file."
-      $ engine_arg $ words $ no_lemmas $ budget $ sweep_mode $ jobs $ stats_out_arg $ trace_out_arg
+      $ engine_arg $ words $ no_lemmas $ budget $ sweep_mode $ stats_out_arg $ trace_out_arg
       $ proof_out $ cert_format $ validate $ faults_arg)
 
 let check_proof_cmd =
@@ -952,7 +896,7 @@ let check_proof_cmd =
       & info [ "j"; "jobs" ] ~docv:"N"
           ~doc:
             "Check a hinted ($(b,bin3)) certificate's shards on $(docv) domains, joining at the \
-             recorded partition boundaries.  Affects wall time only: verdict, error report and \
+             recorded section boundaries.  Affects wall time only: verdict, error report and \
              aggregate counters are identical for every $(docv).  Ignored for un-hinted formats.")
   in
   Cmd.v

@@ -140,18 +140,14 @@ let append dst src ~inputs =
   iter_ands src (fun n -> map.(n) <- and_ dst (map_lit (fanin0 src n)) (map_lit (fanin1 src n)));
   Array.map map_lit (outputs src)
 
-let extract_cone_map g lits =
+let extract_cone g lits =
   let fresh = create ~num_inputs:g.num_inputs in
   let map = Array.make (num_nodes g) Lit.false_ in
   let visited = Array.make (num_nodes g) false in
-  (* back.(m) is the [g] node that fresh node [m] stands for; the
-     constant and the inputs map to themselves. *)
-  let back = Veci.make (first_and g) 0 in
   visited.(0) <- true;
   for i = 0 to g.num_inputs - 1 do
     visited.(1 + i) <- true;
-    map.(1 + i) <- input fresh i;
-    Veci.set back (1 + i) (1 + i)
+    map.(1 + i) <- input fresh i
   done;
   let map_lit l = Lit.apply_sign map.(Lit.var l) ~neg:(Lit.is_neg l) in
   let rec visit n =
@@ -160,11 +156,7 @@ let extract_cone_map g lits =
       let f0 = fanin0 g n and f1 = fanin1 g n in
       visit (Lit.var f0);
       visit (Lit.var f1);
-      let before = num_nodes fresh in
-      map.(n) <- and_ fresh (map_lit f0) (map_lit f1);
-      (* The mapping is injective and [g] holds no foldable node, so
-         every visit allocates; keep the guard anyway. *)
-      if num_nodes fresh > before then Veci.push back n
+      map.(n) <- and_ fresh (map_lit f0) (map_lit f1)
     end
   in
   List.iter
@@ -172,9 +164,7 @@ let extract_cone_map g lits =
       visit (Lit.var l);
       add_output fresh (map_lit l))
     lits;
-  (fresh, Veci.to_array back)
-
-let extract_cone g lits = fst (extract_cone_map g lits)
+  fresh
 
 let cleanup g = extract_cone g (Array.to_list (outputs g))
 

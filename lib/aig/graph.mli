@@ -92,14 +92,6 @@ val append : t -> t -> inputs:Lit.t array -> Lit.t array
     only the AND nodes in the transitive fanin of [lits]. *)
 val extract_cone : t -> Lit.t list -> t
 
-(** Like {!extract_cone}, also returning the node correspondence:
-    element [m] of the array is the [g] node that fresh node [m]
-    stands for (the constant and the primary inputs map to
-    themselves).  The map lets clients translate cone-local literals —
-    and resolution proofs over the cone's Tseitin CNF — back into the
-    original graph's numbering. *)
-val extract_cone_map : t -> Lit.t list -> t * int array
-
 (** Rebuild the graph keeping only nodes reachable from the outputs;
     returns the compacted graph. *)
 val cleanup : t -> t

@@ -14,12 +14,10 @@ let build_common a b =
   let diffs = Array.map2 (Graph.xor_ g) outs_a outs_b in
   (g, diffs)
 
-let build_detailed a b =
+let build a b =
   let g, diffs = build_common a b in
   Graph.add_output g (Graph.or_list g (Array.to_list diffs));
-  (g, diffs)
-
-let build a b = fst (build_detailed a b)
+  g
 
 let build_pairwise a b =
   let g, diffs = build_common a b in

@@ -10,12 +10,6 @@
     @raise Invalid_argument if interfaces differ. *)
 val build : Graph.t -> Graph.t -> Graph.t
 
-(** Like {!build}, also returning the per-output disagreement literals
-    (the XOR of each output pair, before the OR reduction).  The
-    partitioned checker splits the check along these literals and
-    still certifies the combined single-output miter. *)
-val build_detailed : Graph.t -> Graph.t -> Graph.t * Lit.t array
-
 (** Pairwise miter: one output per output pair, not ORed together
     (useful for per-output equivalence checking and for sweeping
     statistics). *)

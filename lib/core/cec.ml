@@ -80,11 +80,6 @@ let check_miter ?max_conflicts engine miter =
   | Monolithic -> check_monolithic ?max_conflicts miter
   | Sweeping cfg -> check_sweeping ?max_conflicts cfg miter
 
-type supervised = {
-  result : (report, string) result;
-  crashes : int;
-}
-
 let check_supervised ?max_conflicts engine miter =
   let attempt () =
     Fault.inject "worker.crash";
@@ -100,11 +95,11 @@ let check_supervised ?max_conflicts engine miter =
     else check_miter ?max_conflicts engine miter
   in
   match attempt () with
-  | report -> { result = Ok report; crashes = 0 }
+  | report -> Ok report
   | exception _ -> (
     match attempt () with
-    | report -> { result = Ok report; crashes = 1 }
-    | exception e -> { result = Error (Printexc.to_string e); crashes = 2 })
+    | report -> Ok report
+    | exception e -> Error (Printexc.to_string e))
 
 let check engine a b = check_miter engine (Aig.Miter.build a b)
 

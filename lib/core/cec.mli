@@ -19,10 +19,10 @@ type certificate = {
           leaves are checked against it with {!Cnf.Tseitin.miter_mem},
           without building that CNF *)
   boundaries : Proof.Resolution.id array;
-      (** section boundaries (last proof node of each refuted query or
-          stitched partition, ascending) for sharded hinted-certificate
-          emission; empty when the prover recorded none — the hinted
-          encoder then emits a single shard *)
+      (** section boundaries (last proof node of each refuted sweep
+          query, ascending) for sharded hinted-certificate emission;
+          empty when the prover recorded none (the monolithic engine)
+          — the hinted encoder then emits a single shard *)
 }
 
 type engine =
@@ -53,22 +53,16 @@ val check : engine -> Aig.t -> Aig.t -> report
 (** Check a prebuilt single-output miter. *)
 val check_miter : ?max_conflicts:int -> engine -> Aig.t -> report
 
-type supervised = {
-  result : (report, string) result;
-      (** [Error reason] when the attempt and its retry both raised;
-          [reason] is the second exception *)
-  crashes : int;  (** attempts that raised: 0, 1 or 2 *)
-}
-
 (** [check_supervised ?max_conflicts engine miter] is {!check_miter}
-    under the fault contract shared by {!Parallel}'s partition jobs and
-    the service's escalation rounds.  Two {!Fault} points fire inside
-    it: [worker.crash] raises before the solve, and [engine.budget]
+    under the fault contract of the service's escalation rounds
+    ([Service.Engine]).  Two {!Fault} points fire inside it:
+    [worker.crash] raises before the solve, and [engine.budget]
     replaces the solve with a budget blowout (an [Undecided] report
     charged the whole [max_conflicts]).  An attempt that raises is
-    retried once, at once; a second raise is returned, never
+    retried once, at once; a second raise is returned as
+    [Error reason] ([reason] is that second exception), never
     re-raised. *)
-val check_supervised : ?max_conflicts:int -> engine -> Aig.t -> supervised
+val check_supervised : ?max_conflicts:int -> engine -> Aig.t -> (report, string) result
 
 (** Bounded sequential equivalence: unroll both transition structures
     [frames] steps from their reset states and check the combinational

@@ -4,5 +4,4 @@
 module Simclass = Simclass
 module Sweep = Sweep
 module Cec = Cec
-module Parallel = Parallel
 module Certify = Certify

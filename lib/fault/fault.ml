@@ -18,7 +18,6 @@ let known_points =
     ("store.corrupt", "bit-flip in certificate bytes read back from the store");
     ("worker.crash", "uncaught exception in a worker domain mid-job");
     ("engine.budget", "solver budget blowout: round aborted before completion");
-    ("proof.lift", "failure while lifting/stitching partition refutations");
     ("peer.slow", "peer stalls: artificial delay handling a connection");
     ("peer.drop", "peer closes the connection mid-response (truncated reply)");
     ("peer.reset", "peer resets the connection (ECONNRESET) instead of replying");

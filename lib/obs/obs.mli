@@ -2,7 +2,7 @@
 
     One dependency-free subsystem of counters, gauges, fixed-bucket
     histograms and hierarchical timed spans, shared by the SAT solver,
-    the sweeping engine, the parallel partitioner, the proof layers and
+    the sweeping engine, the proof layers, the certificate checkers and
     the certification service.
 
     {2 Domain safety}
@@ -12,8 +12,8 @@
     and the registries are {!Registry.merge_into}d after the workers
     are joined.  Merging counters and histograms is associative and
     commutative, so the aggregate is independent of both the merge
-    order and the number of domains — [--jobs N] produces the same
-    deterministic counters for every [N].
+    order and the number of domains — [check-proof --jobs N] produces
+    the same deterministic counters for every [N].
 
     {2 The ambient registry}
 

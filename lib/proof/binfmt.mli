@@ -50,13 +50,12 @@
     produce an accepted-but-wrong clause.
 
     The hinted header also carries a {e shard table}: the node stream
-    is split at the partition boundaries the prover recorded (the
-    stitch structure of {!Lift}-lifted per-partition refutations), and
-    every node referenced across a shard boundary is {e exported} —
-    its position and result clause appear in the header — so shards
-    validate concurrently and join at the stitch points
-    ({!Hint_check}).  A single-shard table (no boundaries) degenerates
-    to the version-1 layout plus hints.
+    is split at the section boundaries the prover recorded (the end of
+    each refuted sweep query's derivation), and every node referenced
+    across a shard boundary is {e exported} — its position and result
+    clause appear in the header — so shards validate concurrently and
+    join at the stitch points ({!Hint_check}).  A single-shard table
+    (no boundaries) degenerates to the version-1 layout plus hints.
 
     The encoders walk the cone of [root] (so encoding trims), place
     each leaf immediately before its first consumer, and emit a delete
@@ -89,8 +88,8 @@ val is_hinted : string -> bool
 val encode : Resolution.t -> root:Resolution.id -> string
 
 (** Serialize the cone of [root] in the hinted format.  [boundaries]
-    are proof ids marking the {e last node of each section} (partition
-    sub-derivations recorded at stitch or sweep time); each becomes a
+    are proof ids marking the {e last node of each section} (query
+    sub-derivations recorded at sweep time); each becomes a
     shard end once mapped to stream positions.  Boundaries outside the
     cone, duplicated, or delimiting shards smaller than
     [min_shard_nodes] (default 256) are coalesced away; no boundaries

@@ -7,8 +7,8 @@
     the same bounded live-set discipline: clauses are resident only
     between their defining and delete records.
 
-    The hinted header's {e shard table} (the partition boundaries the
-    prover recorded at stitch time) additionally lets the shards check
+    The hinted header's {e shard table} (the section boundaries the
+    prover recorded at sweep time) additionally lets the shards check
     {e concurrently}: [jobs] OCaml domains pull shards off a shared
     cursor, each validating its byte span independently — cross-shard
     antecedents come from the header's export table, whose entries the

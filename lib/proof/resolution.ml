@@ -125,27 +125,6 @@ let import dst src ~root ~map_leaf =
     order;
   Hashtbl.find map root
 
-let import_mapped dst src ~root ~map_lit ~map_leaf =
-  (* An injective literal renaming commutes with resolution, so the
-     chains stay valid verbatim once clauses and pivots are mapped. *)
-  let map_pivot v = Aig.Lit.var (map_lit (Aig.Lit.of_var v)) in
-  let order = reachable src ~root in
-  let map = Hashtbl.create (Array.length order) in
-  Array.iter
-    (fun id ->
-      let dst_id =
-        match node src id with
-        | Leaf { clause; _ } -> map_leaf id (Clause.map_lits map_lit clause)
-        | Chain { clause; antecedents; pivots } ->
-          add_chain dst
-            ~clause:(Clause.map_lits map_lit clause)
-            ~antecedents:(Array.map (Hashtbl.find map) antecedents)
-            ~pivots:(Array.map map_pivot pivots)
-      in
-      Hashtbl.add map id dst_id)
-    order;
-  Hashtbl.find map root
-
 let recompute_chain t ~antecedents ~pivots =
   let acc = ref (clause_of t antecedents.(0)) in
   Array.iteri

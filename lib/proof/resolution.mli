@@ -68,23 +68,6 @@ val reachable : t -> root:id -> id array
     id of the root.  Chains are copied verbatim with re-based ids. *)
 val import : t -> t -> root:id -> map_leaf:(id -> Cnf.Clause.t -> id) -> id
 
-(** Like {!import}, but additionally renames every literal through
-    [map_lit] — clauses (leaf and chain results) and chain pivots
-    alike; [map_leaf] receives the {e renamed} leaf clause.  [map_lit]
-    must be injective on the variables of the sub-DAG and preserve
-    polarity (map a positive literal to a positive or negative literal
-    consistently with its complement), so that resolution steps remain
-    valid after renaming.  This is how a refutation produced over an
-    extracted cone's numbering is re-based onto the numbering of the
-    graph the cone came from. *)
-val import_mapped :
-  t ->
-  t ->
-  root:id ->
-  map_lit:(Aig.Lit.t -> Aig.Lit.t) ->
-  map_leaf:(id -> Cnf.Clause.t -> id) ->
-  id
-
 (** Recompute the result of a chain with {!Cnf.Clause.resolve_on},
     ignoring the stored clause.  Raises [Invalid_argument] when a pivot
     is not actually clashing.  Exposed for the checker and tests. *)

@@ -51,10 +51,10 @@ let solve ?(clock = Unix.gettimeofday) ?deadline config golden revised =
     if expired () then finish Cec.Undecided true
     else begin
       let miter = Lazy.force miter in
-      let s = Cec.check_supervised ?max_conflicts:budget config.engine miter in
+      let result = Cec.check_supervised ?max_conflicts:budget config.engine miter in
       incr rounds;
       Obs.Counter.incr o_rounds;
-      match s.Cec.result with
+      match result with
       | Error reason ->
         (* The round crashed on its attempt and its retry: an explicit
            uncertified answer instead of a silent give-up. *)

@@ -18,11 +18,11 @@
 
 type config = {
   jobs : int;
-      (** ignored.  The field stays so that code written against the
-          older partitioned engine still builds (perfbench's service
-          replay sets [jobs = 1]); no code reads it.  Parallelism
-          across requests comes from the daemon's worker domains and
-          the fleet's shards. *)
+      (** ignored; no code reads it.  The field stays only because
+          perfbench's service replay still sets [jobs = 1]; it goes
+          with the next change to that benchmark.  Parallelism across
+          requests comes from the daemon's worker domains and the
+          fleet's shards. *)
   engine : Cec_core.Cec.engine;  (** whole-miter decision engine *)
   budget : int option;
       (** initial conflict budget; [None] = one unbudgeted round *)

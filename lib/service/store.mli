@@ -18,7 +18,7 @@
 
     Equivalent entries persist the verdict plus the {e trimmed}
     refutation — by default as a {e hinted} {!Proof.Binfmt} binary
-    certificate ([bin3]: pivot hints and the prover's partition
+    certificate ([bin3]: pivot hints and the prover's section
     boundaries as a shard table, re-validated search-free and in
     parallel by {!Proof.Hint_check}), as the un-hinted binary format
     with [~cert_format:Bin], or as the dense ASCII trace

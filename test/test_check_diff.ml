@@ -10,11 +10,11 @@
    malformed-vs-invalid classification (the CLI's exit-code 2 vs 3
    split).  The sharded run must further be bit-identical to the
    sequential one: same stats on acceptance, same error record on
-   rejection, for every job count. *)
+   rejection, for every job count.  On acceptance the materializing
+   [Checker] over the ASCII trace must count the same chains. *)
 
 module Cec = Cec_core.Cec
 module Sweep = Cec_core.Sweep
-module Parallel = Cec_core.Parallel
 module R = Proof.Resolution
 module Clause = Cnf.Clause
 module Suite = Circuits.Suite
@@ -23,12 +23,6 @@ let engine mode = Cec.Sweeping { Sweep.default_config with Sweep.mode }
 
 let cert_of ?(mode = Sweep.Perpair) golden revised =
   match (Cec.check (engine mode) golden revised).Cec.verdict with
-  | Cec.Equivalent cert -> Some cert
-  | Cec.Inequivalent _ | Cec.Undecided -> None
-
-let parallel_cert golden revised =
-  let config = { Parallel.default_config with Parallel.num_domains = 2 } in
-  match (Parallel.check ~config golden revised).Parallel.verdict with
   | Cec.Equivalent cert -> Some cert
   | Cec.Inequivalent _ | Cec.Undecided -> None
 
@@ -106,6 +100,18 @@ let accept_all ~what (cert : Cec.certificate) =
     (h1.Proof.Hint_check.peak_live <= s3.Proof.Stream_check.peak_live);
   (* Job-count independence of every reported number. *)
   if h1 <> h4 then Alcotest.failf "%s: stats differ between jobs=1 and jobs=4" what;
+  (* The ASCII trace of the same trimmed refutation, reparsed and
+     checked by the materializing checker, verifies as many chains as
+     the binary stream carries. *)
+  let trace_chains =
+    let trimmed, root = Proof.Trim.cone cert.Cec.proof ~root:cert.Cec.root in
+    let proof, root = Proof.Export.trace_of_string (Proof.Export.trace_to_string trimmed ~root) in
+    match Proof.Checker.check proof ~root ~leaf_ok () with
+    | Ok chains -> chains
+    | Error e -> Alcotest.failf "%s: checker rejected the trace: %a" what Proof.Checker.pp_error e
+  in
+  Alcotest.(check int) (what ^ ": trace chains = binary chains") s1.Proof.Stream_check.chains
+    trace_chains;
   (v1, v3)
 
 (* Hint round-trip: decoding the hinted body re-derives every chain by
@@ -144,19 +150,25 @@ let test_golden_circuits () =
     Suite.small
 
 let test_partitioned_certificate () =
-  (* Multi-output pair through [Parallel.check]: the stitch records one
-     boundary per partition, so this is the certificate shape the shard
-     table exists for. *)
+  (* A multi-output multiplier pair, swept in both modes: each refuted
+     query closes a section, so the sweep records the boundaries the
+     shard table is built on and the hinted body splits into several
+     shards. *)
   let golden = Circuits.Multiplier.array 4 in
   let revised = Circuits.Rewrite.restructure (Support.Rng.create 11) golden in
-  match parallel_cert golden revised with
-  | Some cert ->
-    Alcotest.(check bool) "stitch recorded boundaries" true
-      (Array.length cert.Cec.boundaries > 0);
-    let _, v3 = accept_all ~what:"mul4-partitioned" cert in
-    let r = Proof.Binfmt.reader v3 in
-    Alcotest.(check bool) "multi-shard body" true (Array.length (Proof.Binfmt.shards r) > 1)
-  | None -> Alcotest.fail "partitioned check did not prove equivalence"
+  List.iter
+    (fun mode ->
+      let what = "mul4/" ^ Sweep.mode_to_string mode in
+      match cert_of ~mode golden revised with
+      | Some cert ->
+        Alcotest.(check bool) (what ^ ": sweep recorded boundaries") true
+          (Array.length cert.Cec.boundaries > 0);
+        let _, v3 = accept_all ~what cert in
+        let r = Proof.Binfmt.reader v3 in
+        Alcotest.(check bool) (what ^ ": multi-shard body") true
+          (Array.length (Proof.Binfmt.shards r) > 1)
+      | None -> Alcotest.failf "%s: sweep did not prove equivalence" what)
+    [ Sweep.Perpair; Sweep.Incremental ]
 
 (* --- random AIG pairs (qcheck) --- *)
 

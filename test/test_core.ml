@@ -130,6 +130,23 @@ let test_suite_small () =
         (case.Circuits.Suite.revised ()))
     Circuits.Suite.small
 
+(* Every row of the default suite (the experiments' workload) is proved
+   by the default sweep, with a certificate that validates against the
+   miter rebuilt from the pair. *)
+let test_suite_default_swept () =
+  List.iter
+    (fun case ->
+      let name = case.Circuits.Suite.name in
+      let golden = case.Circuits.Suite.golden () and revised = case.Circuits.Suite.revised () in
+      match (Cec.check sweeping golden revised).Cec.verdict with
+      | Cec.Equivalent cert -> (
+        match Certify.validate_against cert golden revised with
+        | Ok _ -> ()
+        | Error e -> Alcotest.failf "%s: certificate rejected: %a" name Certify.pp_error e)
+      | Cec.Inequivalent _ -> Alcotest.failf "%s: spurious counterexample" name
+      | Cec.Undecided -> Alcotest.failf "%s: undecided" name)
+    Circuits.Suite.default
+
 let base_suites =
   [
     ( "core",
@@ -144,6 +161,7 @@ let base_suites =
         Alcotest.test_case "lemma reuse off" `Quick test_lemma_reuse_off;
         Alcotest.test_case "certificate tampering rejected" `Quick test_certificate_tamper;
         Alcotest.test_case "small suite end-to-end" `Slow test_suite_small;
+        Alcotest.test_case "default suite swept and certified" `Slow test_suite_default_swept;
       ] );
   ]
 

@@ -1,12 +1,11 @@
 (* Fault injection and every recovery path it drives: the spec
-   language and its deterministic firing, the supervision and graceful
-   degradation that Parallel and Engine share, store crash recovery
-   (orphan tmp files, torn writes, fsck quarantine and re-adoption),
+   language and its deterministic firing, the service engine's
+   supervision and graceful degradation, store crash recovery (orphan
+   tmp files, torn writes, fsck quarantine and re-adoption),
    the EINTR-safe wire helpers, the retrying client, and the daemon's
    stale-socket probe and typed worker-crash errors. *)
 
 module Cec = Cec_core.Cec
-module Parallel = Cec_core.Parallel
 module Key = Service.Key
 module Protocol = Service.Protocol
 module Metrics = Service.Metrics
@@ -122,48 +121,7 @@ let test_fired_injections_counted () =
   let count = try List.assoc "fault.injected.p" (Obs.Registry.counters reg) with Not_found -> 0 in
   Alcotest.(check int) "fault.injected.p" 3 count
 
-(* --- Parallel supervision and degradation --- *)
-
-let test_parallel_crash_degrades () =
-  let golden, revised = small_pair () in
-  let report =
-    Fault.with_spec (Fault.always "worker.crash") (fun () -> Parallel.check golden revised)
-  in
-  (match report.Parallel.verdict with
-  | Cec.Undecided -> ()
-  | Cec.Equivalent _ | Cec.Inequivalent _ -> Alcotest.fail "crashed run must not claim a verdict");
-  Alcotest.(check bool) "degraded" true (report.Parallel.degraded <> None);
-  let crashed =
-    Array.exists
-      (fun p -> p.Parallel.status = Parallel.Crashed)
-      report.Parallel.stats.Parallel.partitions
-  in
-  Alcotest.(check bool) "some partition Crashed" true crashed
-
-let test_parallel_budget_fault_gives_up_cleanly () =
-  (* engine.budget fabricates budget-exhausted rounds: the run gives up
-     but is NOT degraded — give-ups are an honest, certified answer. *)
-  let golden, revised = small_pair () in
-  let config =
-    { Parallel.default_config with Parallel.budget = Some 10; Parallel.max_rounds = 2 }
-  in
-  let report =
-    Fault.with_spec (Fault.always "engine.budget") (fun () ->
-        Parallel.check ~config golden revised)
-  in
-  (match report.Parallel.verdict with
-  | Cec.Undecided -> ()
-  | Cec.Equivalent _ | Cec.Inequivalent _ -> Alcotest.fail "budget fault must leave Undecided");
-  Alcotest.(check (option string)) "not degraded" None report.Parallel.degraded
-
-let test_parallel_clean_run_not_degraded () =
-  let golden, revised = small_pair () in
-  Fault.disable ();
-  let report = Parallel.check golden revised in
-  (match report.Parallel.verdict with
-  | Cec.Equivalent _ -> ()
-  | Cec.Inequivalent _ | Cec.Undecided -> Alcotest.fail "suite pair should prove");
-  Alcotest.(check (option string)) "clean" None report.Parallel.degraded
+(* --- engine supervision and degradation --- *)
 
 let test_engine_propagates_degradation () =
   let golden, revised = small_pair () in
@@ -713,10 +671,6 @@ let suites =
       ] );
     ( "fault-supervision",
       [
-        Alcotest.test_case "parallel crash degrades" `Quick test_parallel_crash_degrades;
-        Alcotest.test_case "budget fault gives up cleanly" `Quick
-          test_parallel_budget_fault_gives_up_cleanly;
-        Alcotest.test_case "clean run not degraded" `Quick test_parallel_clean_run_not_degraded;
         Alcotest.test_case "engine propagates degradation" `Quick
           test_engine_propagates_degradation;
         Alcotest.test_case "engine budget fault gives up cleanly" `Quick

@@ -4,7 +4,6 @@
 
 module Cec = Cec_core.Cec
 module Sweep = Cec_core.Sweep
-module Parallel = Cec_core.Parallel
 
 let sweeping = Cec.Sweeping Sweep.default_config
 
@@ -521,45 +520,6 @@ let test_golden_incremental_counterexample_sweep () =
     (case.Circuits.Suite.golden ())
     (case.Circuits.Suite.revised ())
 
-(* --- determinism across worker counts --- *)
-
-let counters_with_domains ?(mode = Sweep.Perpair) n =
-  let case = suite_case "add4-rc-cla" in
-  let golden = case.Circuits.Suite.golden () and revised = case.Circuits.Suite.revised () in
-  let reg = Obs.Registry.create () in
-  let report =
-    Obs.with_ambient reg (fun () ->
-        Parallel.check
-          ~config:
-            {
-              Parallel.default_config with
-              Parallel.num_domains = n;
-              engine = Cec.Sweeping { Sweep.default_config with Sweep.mode };
-            }
-          golden revised)
-  in
-  (match report.Parallel.verdict with
-  | Cec.Equivalent _ -> ()
-  | Cec.Inequivalent _ | Cec.Undecided -> Alcotest.fail "suite case did not prove equivalent");
-  Obs.Export.counters_json reg
-
-let test_jobs_independence () =
-  let c1 = counters_with_domains 1 in
-  let c4 = counters_with_domains 4 in
-  let c4' = counters_with_domains 4 in
-  Alcotest.(check string) "1 domain = 4 domains" c1 c4;
-  Alcotest.(check string) "4 domains repeatable" c4 c4'
-
-let test_incremental_jobs_independence () =
-  (* One persistent solver per partition: partitions are independent,
-     so the aggregate counters still cannot depend on how partitions
-     are spread over domains. *)
-  let c1 = counters_with_domains ~mode:Sweep.Incremental 1 in
-  let c4 = counters_with_domains ~mode:Sweep.Incremental 4 in
-  let c4' = counters_with_domains ~mode:Sweep.Incremental 4 in
-  Alcotest.(check string) "1 domain = 4 domains (incr)" c1 c4;
-  Alcotest.(check string) "4 domains repeatable (incr)" c4 c4'
-
 let test_incremental_fewer_sat_calls () =
   (* The headline effect on the multiplier fixture: root-level fact
      reuse settles some queries without search, so the incremental
@@ -761,8 +721,7 @@ let prop_histogram_totals =
          && Float.abs (Obs.Histogram.sum h -. List.fold_left ( +. ) 0.0 xs) <= 1e-6
          && Obs.Histogram.max_value h = List.fold_left Float.max neg_infinity xs))
 
-(* The service engine counts its own escalation rounds and never runs
-   the partitioned engine. *)
+(* The service engine counts its own escalation rounds. *)
 let test_engine_rounds_counted () =
   let case = List.hd Circuits.Suite.small in
   let golden = case.Circuits.Suite.golden () and revised = case.Circuits.Suite.revised () in
@@ -776,11 +735,6 @@ let test_engine_rounds_counted () =
   let rounds counters = Option.value (List.assoc_opt "engine.rounds" counters) ~default:0 in
   let clean = solve Service.Engine.default_config in
   Alcotest.(check int) "clean pair: one round" 1 (rounds clean);
-  List.iter
-    (fun (name, _) ->
-      if String.starts_with ~prefix:"parallel." name then
-        Alcotest.failf "service solve recorded %s" name)
-    clean;
   let blown =
     Fault.with_spec (Fault.always "engine.budget") (fun () ->
         solve { Service.Engine.default_config with Service.Engine.max_rounds = 3 })
@@ -852,10 +806,6 @@ let suites =
         Alcotest.test_case "counterexample sweep" `Quick test_golden_counterexample_sweep;
         Alcotest.test_case "incremental counterexample sweep" `Quick
           test_golden_incremental_counterexample_sweep;
-        Alcotest.test_case "aggregate counters independent of domains" `Quick
-          test_jobs_independence;
-        Alcotest.test_case "incremental counters independent of domains" `Quick
-          test_incremental_jobs_independence;
         Alcotest.test_case "incremental drops below per-pair SAT calls" `Quick
           test_incremental_fewer_sat_calls;
         Alcotest.test_case "checker counters: adder pair" `Quick test_golden_check_adder;

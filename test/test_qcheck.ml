@@ -4,7 +4,6 @@
 
 module Cec = Cec_core.Cec
 module Sweep = Cec_core.Sweep
-module Parallel = Cec_core.Parallel
 module R = Proof.Resolution
 module Clause = Cnf.Clause
 
@@ -43,27 +42,17 @@ let verdict_of = function
   | Cec.Inequivalent _ -> "neq"
   | Cec.Undecided -> "undecided"
 
-(* (a) The monolithic, sweeping, parallel and service engines agree. *)
+(* (a) The monolithic, sweeping and service engines agree. *)
 let prop_engines_agree =
-  qtest "mono/sweep/parallel verdicts agree with the service engine" (fun seed ->
+  qtest "mono/sweep verdicts agree with the service engine" (fun seed ->
       let golden, revised = random_pair seed in
       let mono = (Cec.check Cec.Monolithic golden revised).Cec.verdict in
       let sweep = (Cec.check sweeping golden revised).Cec.verdict in
-      let par =
-        (Parallel.check
-           ~config:{ Parallel.default_config with Parallel.num_domains = 2 }
-           golden revised)
-          .Parallel.verdict
-      in
       let svc = service golden revised in
-      let ok =
-        verdict_of mono = verdict_of sweep
-        && verdict_of sweep = verdict_of par
-        && verdict_of par = verdict_of svc
-      in
+      let ok = verdict_of mono = verdict_of sweep && verdict_of sweep = verdict_of svc in
       if not ok then
-        QCheck.Test.fail_reportf "mono=%s sweep=%s parallel=%s service=%s" (verdict_of mono)
-          (verdict_of sweep) (verdict_of par) (verdict_of svc);
+        QCheck.Test.fail_reportf "mono=%s sweep=%s service=%s" (verdict_of mono)
+          (verdict_of sweep) (verdict_of svc);
       true)
 
 (* (b) Every Equivalent certificate is a checkable refutation of its
@@ -77,7 +66,6 @@ let prop_certificates_check =
           [
             (Cec.check Cec.Monolithic golden revised).Cec.verdict;
             (Cec.check sweeping golden revised).Cec.verdict;
-            (Parallel.check golden revised).Parallel.verdict;
             service golden revised;
           ]
       in
@@ -111,7 +99,6 @@ let prop_witnesses_simulate =
         [
           (Cec.check Cec.Monolithic golden revised).Cec.verdict;
           (Cec.check sweeping golden revised).Cec.verdict;
-          (Parallel.check golden revised).Parallel.verdict;
           service golden revised;
         ];
       true)

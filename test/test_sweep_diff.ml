@@ -12,7 +12,6 @@
 
 module Cec = Cec_core.Cec
 module Sweep = Cec_core.Sweep
-module Parallel = Cec_core.Parallel
 module Certify = Cec_core.Certify
 module R = Proof.Resolution
 module Clause = Cnf.Clause
@@ -298,23 +297,15 @@ let test_perpair_runs_repeat () =
 
 (* --- full-stack smoke in both modes --- *)
 
-(* The parallel checker and the service engine, each driven once per
-   sweep mode.  The service engine's certificate must also pass the
-   hinted checker over the hinted encoding, the body the store
-   writes. *)
+(* The service engine, driven once per sweep mode.  Its certificate
+   must also pass the hinted checker over the hinted encoding, the body
+   the store writes. *)
 let test_stack_smoke_both_modes () =
   let case = Option.get (Suite.find "add4-rc-cla") in
   let golden = case.Suite.golden () and revised = case.Suite.revised () in
   List.iter
     (fun mode ->
       let what = mname mode in
-      let pconfig =
-        { Parallel.default_config with Parallel.num_domains = 2; engine = engine mode }
-      in
-      (match (Parallel.check ~config:pconfig golden revised).Parallel.verdict with
-      | Cec.Equivalent cert ->
-        check_certificate ~what:("parallel-smoke/" ^ what) golden revised cert
-      | Cec.Inequivalent _ | Cec.Undecided -> Alcotest.failf "%s: parallel smoke failed" what);
       let econfig = { Service.Engine.default_config with Service.Engine.engine = engine mode } in
       match (Service.Engine.solve econfig golden revised).Service.Engine.verdict with
       | Cec.Equivalent cert -> (
