@@ -1,5 +1,12 @@
 (** Transitive fanin cones and structural supports. *)
 
+(** [mark g ~marks ~mark lits] sets the [marks] entry of every node in
+    the transitive fanin of [lits] (the literals' own nodes included,
+    the constant excluded) to [mark].  It does not enter a node already
+    marked, so it costs the nodes it newly marks, not the graph.
+    [marks] has one entry per node and belongs to the caller. *)
+val mark : Graph.t -> marks:int array -> mark:int -> Lit.t list -> unit
+
 (** [unmarked g ~marks ~mark lits] is the nodes in the transitive fanin
     of [lits] (the literals' own nodes included, the constant excluded)
     whose [marks] entry is not [mark], in ascending — topological —

@@ -7,28 +7,24 @@ let is_empty c = Array.length c = 0
 
 let tautology () = invalid_arg "Clause: tautology (both polarities of a variable)"
 
-(* Sort, deduplicate, and reject tautologies.  Sorted literal order
-   puts the two polarities of a variable adjacently, so both checks are
-   a single pass. *)
+(* Sort, deduplicate, and reject tautologies, in place: [lits] must be
+   a fresh array the caller gives up.  Sorted literal order puts the two
+   polarities of a variable adjacently, so both checks are a single
+   pass, and an array without duplicates is returned as it is. *)
 let normalize lits =
   Array.sort Int.compare lits;
   let n = Array.length lits in
-  if n = 0 then [||]
-  else begin
-    let out = Array.make n lits.(0) in
-    let k = ref 1 in
-    for i = 1 to n - 1 do
-      let l = lits.(i) in
-      let prev = out.(!k - 1) in
-      if l = prev then ()
-      else begin
-        if Lit.var l = Lit.var prev then tautology ();
-        out.(!k) <- l;
-        incr k
-      end
-    done;
-    Array.sub out 0 !k
-  end
+  let k = ref (min n 1) in
+  for i = 1 to n - 1 do
+    let l = lits.(i) in
+    let prev = lits.(!k - 1) in
+    if l <> prev then begin
+      if Lit.var l = Lit.var prev then tautology ();
+      lits.(!k) <- l;
+      incr k
+    end
+  done;
+  if !k = n then lits else Array.sub lits 0 !k
 
 let of_array lits = normalize (Array.copy lits)
 let of_list lits = normalize (Array.of_list lits)
@@ -122,7 +118,11 @@ let resolve_any ~c ~d =
   | exception Invalid_argument _ ->
     invalid_arg "Clause.resolve_any: more than one clashing variable"
 
-let max_var c = Array.fold_left (fun acc l -> max acc (Lit.var l)) (-1) c
+(* Literals are sorted and a variable's literals are [2v] and [2v+1],
+   so the last literal holds the largest variable. *)
+let max_var c =
+  let n = Array.length c in
+  if n = 0 then -1 else Lit.var c.(n - 1)
 
 let satisfied_by c assignment =
   Array.exists (fun l -> assignment.(Lit.var l) <> Lit.is_neg l) c

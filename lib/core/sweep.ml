@@ -210,6 +210,7 @@ type lemma = {
   clause : Clause.t;
   root : R.id; (* its derivation in the global proof *)
   twin : int;
+  leaf : R.node; (* its leaf in a query proof *)
 }
 
 (* Every query is asked of the same solver over the same proof store,
@@ -230,14 +231,17 @@ type fresh_state = {
       (* every CNF clause a query can add, by slot: the [tseitin_table],
          with the constant unit at slot 0 and a single-output graph's
          output unit at slot 1, which the constant node leaves free *)
+  slot_leaf : R.node array; (* per slot: its leaf in a query proof *)
   output_slot : int; (* 1, or 0 when the output unit is the constant unit *)
   slot_global : R.id array; (* per slot: its global node, [-1] until needed *)
   slot_epoch : int array; (* per slot: the last query that added it *)
   slot_pid : R.id array; (* per slot: its leaf in that query *)
   stamp : int array; (* per node: the last query whose cone held it *)
   mutable epoch : int;
+  cone : Veci.t; (* the current query's cone, ascending *)
   solver : Solver.t;
   qproof : R.t; (* [solver]'s proof store *)
+  lift : Proof.Lift.scratch;
   origin : Veci.t; (* per [qproof] leaf: its origin *)
   global : R.t;
   registered : (Clause.t, unit) Hashtbl.t;
@@ -259,7 +263,7 @@ let fresh_register o st stats clause root =
            (fun i -> Clause.equal st.table.(i) clause)
            [ st.output_slot; 3 * m; (3 * m) + 1; (3 * m) + 2 ])
     in
-    let l = { clause; root; twin } in
+    let l = { clause; root; twin; leaf = R.Leaf { clause; assumption = false } } in
     st.lemma_list <- l :: st.lemma_list;
     st.lemmas_at.(m) <- l :: st.lemmas_at.(m);
     stats.lemmas <- stats.lemmas + 1;
@@ -276,8 +280,8 @@ let begin_query g st =
   Solver.ensure_vars st.solver (Aig.num_nodes g);
   st.epoch <- st.epoch + 1
 
-let add_leaf st c origin =
-  let pid = R.append_leaf st.qproof c in
+let add_leaf st c leaf origin =
+  let pid = R.append_leaf_node st.qproof leaf in
   (* Chains appended in between (a clause false at level 0) need no
      origin. *)
   Veci.grow st.origin pid 0;
@@ -292,13 +296,13 @@ let add_slot st i =
     Solver.add_derived_clause st.solver st.table.(i) st.slot_pid.(i)
   else begin
     st.slot_epoch.(i) <- st.epoch;
-    st.slot_pid.(i) <- add_leaf st st.table.(i) i
+    st.slot_pid.(i) <- add_leaf st st.table.(i) st.slot_leaf.(i) i
   end
 
 let add_lemma st l =
   if l.twin >= 0 && st.slot_epoch.(l.twin) = st.epoch then
     Solver.add_derived_clause st.solver l.clause st.slot_pid.(l.twin)
-  else ignore (add_leaf st l.clause (-1 - l.root))
+  else ignore (add_leaf st l.clause l.leaf (-1 - l.root))
 
 let add_fanin_clauses st n =
   for i = 3 * n to (3 * n) + 2 do
@@ -326,25 +330,50 @@ let fresh_import st root =
   R.import st.global st.qproof ~root ~map_leaf:(fun id _ ->
       global_of_origin st (Veci.get st.origin id))
 
+(* Whether every variable of [c] is the constant or in the cone. *)
+let in_cone stamp epoch (c : Clause.t) =
+  let c = (c :> int array) in
+  let i = ref 0 in
+  while
+    !i < Array.length c
+    &&
+    let v = Lit.var c.(!i) in
+    v = 0 || stamp.(v) = epoch
+  do
+    incr i
+  done;
+  !i = Array.length c
+
+let rec add_lemmas_in_cone st = function
+  | [] -> ()
+  | l :: rest ->
+    if in_cone st.stamp st.epoch l.clause then add_lemma st l;
+    add_lemmas_in_cone st rest
+
 (* One query over the candidates' cone.  Every graph node is declared
    as a solver variable and sits in the decision heap, but only the
    cone is walked and only its clauses are added, from the engine's
-   clause table, in ascending node order. *)
+   clause table, in ascending node order.  A node's fanins precede it,
+   so the cone is listed by one scan up to its largest query node. *)
 let fresh_query g cfg st stats ~lits ~assumptions =
   stats.sat_calls <- stats.sat_calls + 1;
   begin_query g st;
   let epoch = st.epoch in
-  let cone = Aig.Cone.unmarked g ~marks:st.stamp ~mark:epoch lits in
-  let in_cone v = v = 0 || st.stamp.(v) = epoch in
+  let top = List.fold_left (fun top l -> if Lit.var l > top then Lit.var l else top) 0 lits in
+  Aig.Cone.mark g ~marks:st.stamp ~mark:epoch lits;
+  Veci.clear st.cone;
+  for n = 1 to top do
+    if st.stamp.(n) = epoch then Veci.push st.cone n
+  done;
   add_slot st 0;
-  Array.iter (fun n -> if Aig.is_and_node g n then add_fanin_clauses st n) cone;
-  if cfg.lemma_reuse then begin
-    let lit_in_cone l = in_cone (Lit.var l) in
-    let add_if_in_cone l =
-      if Array.for_all lit_in_cone (l.clause :> int array) then add_lemma st l
-    in
-    Array.iter (fun n -> List.iter add_if_in_cone st.lemmas_at.(n)) cone
-  end;
+  for i = 0 to Veci.size st.cone - 1 do
+    let n = Veci.get st.cone i in
+    if Aig.is_and_node g n then add_fanin_clauses st n
+  done;
+  if cfg.lemma_reuse then
+    for i = 0 to Veci.size st.cone - 1 do
+      add_lemmas_in_cone st st.lemmas_at.(Veci.get st.cone i)
+    done;
   List.iter
     (fun l -> Solver.add_clause ~assumption:true st.solver (Clause.singleton l))
     assumptions;
@@ -356,7 +385,7 @@ let fresh_query g cfg st stats ~lits ~assumptions =
       (* Assumptions are passed as clauses in this mode. *)
       assert false
     | Solver.Unsat root ->
-      let lifted_root, lemma = Proof.Lift.refutation st.qproof ~root in
+      let lifted_root, lemma = Proof.Lift.refutation ~scratch:st.lift st.qproof ~root in
       let global_root = fresh_import st lifted_root in
       st.sections <- (R.size st.global - 1) :: st.sections;
       Refuted (global_root, lemma)
@@ -401,14 +430,17 @@ let make_fresh_engine g cfg ~leaf_ok =
     {
       leaf_ok;
       table;
+      slot_leaf = Array.map (fun clause -> R.Leaf { clause; assumption = false }) table;
       output_slot = (if Clause.equal table.(1) table.(0) then 0 else 1);
       slot_global = Array.make (Array.length table) (-1);
       slot_epoch = Array.make (Array.length table) 0;
       slot_pid = Array.make (Array.length table) 0;
       stamp = Array.make (Aig.num_nodes g) 0;
       epoch = 0;
+      cone = Veci.create ();
       solver = Solver.create ~proof:qproof ();
       qproof;
+      lift = Proof.Lift.scratch ();
       origin = Veci.create ();
       global = R.create ();
       registered = Hashtbl.create 256;

@@ -25,11 +25,16 @@ type mode =
           writes, no allocation, to declare every node as a solver
           variable again (each one is in the decision heap, so the
           search matches a solver loaded with the whole miter's
-          variables), O(cone) to walk the cone once and add its clauses
-          from a Tseitin clause table built once per engine, then the
-          search and the lift and import of its refutation, which maps
-          each leaf to the global proof by the table slot or lemma it
-          came from. *)
+          variables), O(cone) to walk the cone once, list it by one
+          scan up to its largest node and add its clauses from a
+          Tseitin clause table built once per engine (each copied into
+          the solver's clause arena under a leaf node also built once
+          per engine, so loading allocates nothing), then the search
+          and the lift and import of its refutation, which run over
+          arrays indexed by query-proof id (the engine's
+          {!Proof.Lift.scratch} and the query store's own) and map each
+          leaf to the global proof by the table slot or lemma it came
+          from. *)
   | Incremental
       (** one persistent solver per instance whose proof store {e is}
           the global proof — cone clauses loaded once on demand,

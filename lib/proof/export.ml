@@ -2,29 +2,48 @@ module Clause = Cnf.Clause
 module Lit = Aig.Lit
 module R = Resolution
 
+(* Decimal [n] straight into [buf]. *)
+let rec add_digits buf n =
+  if n >= 10 then add_digits buf (n / 10);
+  Buffer.add_char buf (Char.unsafe_chr (48 + (n mod 10)))
+
+let add_int buf n =
+  if n < 0 then begin
+    Buffer.add_char buf '-';
+    add_digits buf (-n)
+  end
+  else add_digits buf n
+
 let add_lits buf c =
-  Clause.iter (fun l -> Printf.bprintf buf " %d" (Lit.to_dimacs l)) c;
+  for i = 0 to Clause.size c - 1 do
+    Buffer.add_char buf ' ';
+    add_int buf (Lit.to_dimacs (c :> int array).(i))
+  done;
   Buffer.add_string buf " 0"
 
 let trace_to_string proof ~root =
   let buf = Buffer.create 4096 in
   let order = R.reachable proof ~root in
-  (* Renumber densely so the trace stands alone. *)
-  let rename = Hashtbl.create (Array.length order) in
-  Array.iteri (fun i id -> Hashtbl.add rename id i) order;
+  (* Renumber densely (1-based) so the trace stands alone; every id in
+     [order] is at most [root]. *)
+  let rename = Array.make (root + 1) 0 in
+  Array.iteri (fun i id -> rename.(id) <- i + 1) order;
   Array.iter
     (fun id ->
-      let i = 1 + Hashtbl.find rename id in
+      add_int buf rename.(id);
       (match R.node proof id with
       | R.Leaf { clause; assumption } ->
-        Printf.bprintf buf "%d %s" i (if assumption then "A" else "L");
+        Buffer.add_string buf (if assumption then " A" else " L");
         add_lits buf clause
       | R.Chain { clause; antecedents; pivots } ->
-        Printf.bprintf buf "%d C %d" i (1 + Hashtbl.find rename antecedents.(0));
-        Array.iteri
-          (fun k pivot ->
-            Printf.bprintf buf " %d %d" (pivot + 1) (1 + Hashtbl.find rename antecedents.(k + 1)))
-          pivots;
+        Buffer.add_string buf " C ";
+        add_int buf rename.(antecedents.(0));
+        for k = 0 to Array.length pivots - 1 do
+          Buffer.add_char buf ' ';
+          add_int buf (pivots.(k) + 1);
+          Buffer.add_char buf ' ';
+          add_int buf rename.(antecedents.(k + 1))
+        done;
         Buffer.add_string buf " 0";
         add_lits buf clause);
       Buffer.add_char buf '\n')

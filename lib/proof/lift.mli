@@ -18,11 +18,26 @@
 
 exception Lift_error of string
 
+(** Working arrays of {!refutation}, indexed by proof id and grown on
+    demand, plus its registry handles ([proof.lifts],
+    [proof.lift_nodes], [proof.lift_depth]), resolved from the ambient
+    registry at the first lift.  A caller that lifts many refutations
+    (the per-pair sweeping engine lifts one per query) creates one and
+    passes it to every call, so a lift allocates only the chains it
+    adds.  The scratch belongs to its creator: one per engine, never
+    shared by two calls running at once (engines on different domains
+    each own theirs). *)
+type scratch
+
+val scratch : unit -> scratch
+
 (** [refutation proof ~root] rewrites (inside [proof]) the refutation
     rooted at [root], eliminating every assumption leaf, and returns
     the new root and its clause (a sub-clause of the negated
     assumptions).  Nodes that need no change are reused, so the result
-    shares structure with the original.
+    shares structure with the original.  The walk also uses [proof]'s
+    own scratch ({!Resolution.reachable_into}).
     @raise Lift_error if [root] is not an empty clause, or if replay
     encounters a malformed step. *)
-val refutation : Resolution.t -> root:Resolution.id -> Resolution.id * Cnf.Clause.t
+val refutation :
+  scratch:scratch -> Resolution.t -> root:Resolution.id -> Resolution.id * Cnf.Clause.t

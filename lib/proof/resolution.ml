@@ -1,4 +1,5 @@
 module Clause = Cnf.Clause
+module Veci = Support.Veci
 
 type id = int
 
@@ -10,6 +11,13 @@ type t = {
   mutable nodes : node array;
   mutable size : int;
   leaf_index : (Clause.t, id) Hashtbl.t;
+  (* Scratch of [reachable_into] and [import], indexed by node id and
+     grown on demand.  It belongs to this store, so stores used on
+     different domains share nothing. *)
+  mutable marks : Bytes.t; (* all zero between calls *)
+  mutable image : id array; (* [import]: a node's id in the destination *)
+  stack : Veci.t;
+  order : Veci.t;
   (* Ambient-registry handles resolved at [create]: node creation is a
      hot path during conflict analysis. *)
   o_leaves : Obs.Counter.t;
@@ -24,6 +32,10 @@ let create () =
     nodes = Array.make 64 dummy;
     size = 0;
     leaf_index = Hashtbl.create 64;
+    marks = Bytes.make 64 '\000';
+    image = Array.make 64 0;
+    stack = Veci.create ();
+    order = Veci.create ();
     o_leaves = Obs.Registry.counter reg "proof.leaves";
     o_chains = Obs.Registry.counter reg "proof.chains";
   }
@@ -44,7 +56,13 @@ let new_leaf t clause ~assumption =
   Obs.Counter.incr t.o_leaves;
   append t (Leaf { clause; assumption })
 
-let append_leaf t clause = new_leaf t clause ~assumption:false
+let append_leaf_node t n =
+  match n with
+  | Leaf { assumption = false; _ } ->
+    Obs.Counter.incr t.o_leaves;
+    append t n
+  | Leaf { assumption = true; _ } | Chain _ ->
+    invalid_arg "Resolution.append_leaf_node: not a non-assumption leaf"
 
 let add_leaf ?(assumption = false) t clause =
   if assumption then new_leaf t clause ~assumption
@@ -52,7 +70,7 @@ let add_leaf ?(assumption = false) t clause =
     match Hashtbl.find_opt t.leaf_index clause with
     | Some id -> id
     | None ->
-      let id = append_leaf t clause in
+      let id = new_leaf t clause ~assumption:false in
       Hashtbl.add t.leaf_index clause id;
       id
 
@@ -65,9 +83,10 @@ let add_chain t ~clause ~antecedents ~pivots =
   let n = Array.length antecedents in
   if n < 2 || Array.length pivots <> n - 1 then
     invalid_arg "Resolution.add_chain: need k+1 antecedents for k pivots, k >= 1";
-  Array.iter
-    (fun a -> if a < 0 || a >= t.size then invalid_arg "Resolution.add_chain: bad antecedent id")
-    antecedents;
+  for i = 0 to n - 1 do
+    let a = antecedents.(i) in
+    if a < 0 || a >= t.size then invalid_arg "Resolution.add_chain: bad antecedent id"
+  done;
   Obs.Counter.incr t.o_chains;
   append t (Chain { clause; antecedents; pivots })
 
@@ -89,41 +108,69 @@ let iter f t =
     f id t.nodes.(id)
   done
 
-let reachable t ~root =
-  let seen = Array.make t.size false in
-  (* Iterative DFS: proofs can be hundreds of thousands of nodes deep. *)
-  let stack = Support.Veci.create () in
-  Support.Veci.push stack root;
-  while not (Support.Veci.is_empty stack) do
-    let id = Support.Veci.pop stack in
-    if not seen.(id) then begin
-      seen.(id) <- true;
+(* Iterative DFS: proofs can be hundreds of thousands of nodes deep.
+   [marks] covers ids up to [root] and is all zero before and after;
+   [out] receives the reachable ids in increasing order. *)
+let walk t ~root marks stack out =
+  Veci.clear stack;
+  Veci.push stack root;
+  while not (Veci.is_empty stack) do
+    let id = Veci.pop stack in
+    if Bytes.get marks id = '\000' then begin
+      Bytes.set marks id '\001';
       match t.nodes.(id) with
       | Leaf _ -> ()
-      | Chain { antecedents; _ } -> Array.iter (Support.Veci.push stack) antecedents
+      | Chain { antecedents; _ } ->
+        for i = 0 to Array.length antecedents - 1 do
+          Veci.push stack antecedents.(i)
+        done
     end
   done;
-  let acc = ref [] in
-  for id = t.size - 1 downto 0 do
-    if seen.(id) then acc := id :: !acc
-  done;
-  Array.of_list !acc
+  (* Every reachable id is at most [root]: antecedents precede their
+     chain.  The scan lists them in order and clears every mark. *)
+  Veci.clear out;
+  for id = 0 to root do
+    if Bytes.get marks id <> '\000' then begin
+      Bytes.set marks id '\000';
+      Veci.push out id
+    end
+  done
+
+let check_root t root =
+  if root < 0 || root >= t.size then invalid_arg "Resolution.reachable: bad root"
+
+let reachable t ~root =
+  check_root t root;
+  let out = Veci.create () in
+  walk t ~root (Bytes.make (root + 1) '\000') (Veci.create ()) out;
+  Veci.to_array out
+
+let reachable_into t ~root out =
+  check_root t root;
+  if Bytes.length t.marks <= root then
+    t.marks <- Bytes.make (Veci.grown_capacity (Bytes.length t.marks) (root + 1)) '\000';
+  walk t ~root t.marks t.stack out
 
 let import dst src ~root ~map_leaf =
-  let order = reachable src ~root in
-  let map = Hashtbl.create (Array.length order) in
-  Array.iter
-    (fun id ->
-      let dst_id =
-        match node src id with
-        | Leaf { clause; _ } -> map_leaf id clause
-        | Chain { clause; antecedents; pivots } ->
-          let antecedents = Array.map (Hashtbl.find map) antecedents in
-          add_chain dst ~clause ~antecedents ~pivots
-      in
-      Hashtbl.add map id dst_id)
-    order;
-  Hashtbl.find map root
+  let order = src.order in
+  reachable_into src ~root order;
+  if Array.length src.image <= root then
+    src.image <- Array.make (Veci.grown_capacity (Array.length src.image) (root + 1)) 0;
+  let image = src.image in
+  for i = 0 to Veci.size order - 1 do
+    let id = Veci.get order i in
+    image.(id) <-
+      (match src.nodes.(id) with
+      | Leaf { clause; _ } -> map_leaf id clause
+      | Chain { clause; antecedents; pivots } ->
+        let n = Array.length antecedents in
+        let mapped = Array.make n 0 in
+        for k = 0 to n - 1 do
+          mapped.(k) <- image.(antecedents.(k))
+        done;
+        add_chain dst ~clause ~antecedents:mapped ~pivots)
+  done;
+  image.(root)
 
 let recompute_chain t ~antecedents ~pivots =
   let acc = ref (clause_of t antecedents.(0)) in

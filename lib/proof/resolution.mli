@@ -12,7 +12,14 @@
     The store records the {e claimed} result clause of each chain; the
     {!Checker} recomputes and compares.  Node identifiers are dense
     integers, valid only within their own proof; {!import} re-bases a
-    sub-DAG from one proof into another. *)
+    sub-DAG from one proof into another.
+
+    {!reachable_into} and {!import} walk arrays indexed by node id,
+    kept in the store and grown on demand, so a call allocates only its
+    result.  That scratch belongs to the store: though they only read
+    it, no two of these calls may run on one store at once (say, from
+    two domains), and separate stores share nothing.  {!reachable}
+    allocates its own and only reads the store. *)
 
 type id = int
 
@@ -32,10 +39,15 @@ val size : t -> int
     clause returns the existing id. *)
 val add_leaf : ?assumption:bool -> t -> Cnf.Clause.t -> id
 
-(** [append_leaf t clause] appends a new non-assumption leaf without
-    looking for an equal one, and without indexing it for {!add_leaf}:
-    for stores whose caller keeps track of its leaves itself. *)
-val append_leaf : t -> Cnf.Clause.t -> id
+(** [append_leaf_node t n] appends [n], a [Leaf] with
+    [assumption = false], as a new node without looking for an equal
+    leaf, and without indexing it for {!add_leaf}: for stores whose
+    caller keeps track of its leaves itself.  The node value is stored
+    as given, so a caller that appends the same leaf to a store it
+    clears between uses builds it once and appends it without
+    allocating.  Counted like every new leaf ([proof.leaves]).
+    @raise Invalid_argument for a chain or an assumption leaf. *)
+val append_leaf_node : t -> node -> id
 
 (** [clear t] empties [t], keeping its allocation: ids restart at [0],
     as in a new store. *)
@@ -57,15 +69,23 @@ val is_assumption : t -> id -> bool
 val iter : (id -> node -> unit) -> t -> unit
 
 (** Node ids reachable from [root] (including it), in increasing
-    (hence topological) order. *)
+    (hence topological) order.
+    @raise Invalid_argument if [root] is not a node of [t]. *)
 val reachable : t -> root:id -> id array
+
+(** [reachable_into t ~root out] replaces the contents of [out] with
+    [reachable t ~root], allocating nothing once [out] and the store's
+    scratch have grown to size. *)
+val reachable_into : t -> root:id -> Support.Veci.t -> unit
 
 (** [import dst src ~root ~map_leaf] copies the sub-DAG of [src]
     rooted at [root] into [dst].  Every [src] leaf is translated by
     [map_leaf], which returns the [dst] node standing for it — either a
     [dst] leaf or a previously derived [dst] chain (this is how lemma
     sub-proofs are stitched into the global proof).  Returns the [dst]
-    id of the root.  Chains are copied verbatim with re-based ids. *)
+    id of the root.  Chains are copied verbatim with re-based ids.
+    The walk uses [src]'s scratch, so [map_leaf] must not call
+    {!import} on [src]. *)
 val import : t -> t -> root:id -> map_leaf:(id -> Cnf.Clause.t -> id) -> id
 
 (** Recompute the result of a chain with {!Cnf.Clause.resolve_on},

@@ -1,30 +1,35 @@
-(** Indexed binary max-heap over variable indices, ordered by an
-    external score function — the VSIDS decision order.  Supports
-    decrease/increase-key via {!update} because scores change while
-    variables sit in the heap. *)
+(** Indexed binary max-heap over variable indices, ordered by a score
+    array — the VSIDS decision order.  Supports decrease/increase-key
+    via {!update} because scores change while variables sit in the
+    heap.
+
+    The heap holds no scores and no comparison function: every
+    operation that reorders it reads the caller's [scores] array
+    ([scores.(x)] is element [x]'s score) directly, so comparisons
+    neither call a closure nor box a float, and the caller may replace
+    that array (to grow it) between calls.  All calls on one heap must
+    pass the same scores, updated only through {!update}. *)
 
 type t
 
-(** [create score] is an empty heap comparing elements by [score]
-    (called at comparison time, so callers mutate scores then
-    {!update}). *)
-val create : (int -> float) -> t
+(** An empty heap. *)
+val create : unit -> t
 
 val is_empty : t -> bool
 val mem : t -> int -> bool
 
-(** Insert a new element (no-op if present). *)
-val insert : t -> int -> unit
+(** [insert t scores x] inserts element [x] (no-op if present). *)
+val insert : t -> float array -> int -> unit
 
 (** Remove every element, keeping the allocated space. *)
 val clear : t -> unit
 
 (** Remove and return the maximum-score element.
     @raise Invalid_argument if empty. *)
-val pop : t -> int
+val pop : t -> float array -> int
 
-(** Restore heap order around [x] after its score changed
-    (no-op if absent). *)
-val update : t -> int -> unit
+(** [update t scores x] restores heap order around [x] after its score
+    changed (no-op if absent). *)
+val update : t -> float array -> int -> unit
 
 val size : t -> int

@@ -3,14 +3,6 @@ module Clause = Cnf.Clause
 module Lit = Aig.Lit
 module R = Proof.Resolution
 
-type clause_rec = {
-  lits : int array;
-  pid : R.id;
-  learned : bool;
-  mutable act : float;
-  mutable deleted : bool;
-}
-
 type result =
   | Sat of bool array
   | Unsat of R.id
@@ -19,7 +11,18 @@ type result =
 
 type t = {
   proof : R.t;
-  mutable arena : clause_rec array;
+  (* The clause arena, MiniSat 2.2's layout with one column per clause
+     field: clause [ci]'s literals are [lits.(c_start.(ci))] onwards,
+     [c_size.(ci)] of them, its two watched literals first.  [reset]
+     truncates it; clauses are never freed before. *)
+  mutable lits : int array;
+  mutable lits_used : int;
+  mutable c_start : int array;
+  mutable c_size : int array;
+  mutable c_pid : int array; (* proof node *)
+  mutable c_learned : bool array;
+  mutable c_deleted : bool array;
+  mutable c_act : float array;
   mutable num_clauses : int;
   mutable nvars : int;
   (* Per-variable state, sized by [grow_arrays]. *)
@@ -31,12 +34,14 @@ type t = {
   mutable seen : bool array;
       (* conflict-analysis scratch, shared by [analyze], [analyze_final]
          and [derive_empty_at_level0]; all false between their calls *)
+  mutable unit_pids : int array;
+      (* derivation of the variable's root-level unit, or -1; see [unit_pid] *)
   mutable watches : Veci.t array; (* per literal; [no_watches] until first watched *)
   trail : Veci.t;
   trail_lim : Veci.t;
   mutable qhead : int;
-  mutable order : Heap.t option; (* built lazily so [activity] can be swapped *)
-  mutable spare_order : Heap.t option; (* emptied by [reset]; the next build refills it *)
+  order : Heap.t; (* over [activity] *)
+  mutable order_built : bool; (* filled lazily, as [order] says *)
   mutable var_inc : float;
   mutable unsat_root : R.id option;
   learned_indices : Veci.t;
@@ -50,6 +55,16 @@ type t = {
   mutable propagations : int;
   mutable learned : int;
   mutable restarts : int;
+  (* Conflict-analysis scratch vectors, empty or stale between calls:
+     [learnt] collects the learned clause (asserting literal first once
+     [analyze] returns), [chain_ants]/[chain_pivots] the chain that
+     [analyze], [analyze_final] and [derive_empty_at_level0] log. *)
+  learnt : Veci.t;
+  to_clear : Veci.t;
+  kept : Veci.t;
+  removed : Veci.t;
+  chain_ants : Veci.t;
+  chain_pivots : Veci.t;
   (* Ambient-registry handles, resolved once at [create] so the hot
      loops pay a single field increment. *)
   o_conflicts : Obs.Counter.t;
@@ -59,11 +74,7 @@ type t = {
   o_learned_size : Obs.Histogram.t;
   o_retired : Obs.Counter.t;
   o_carried : Obs.Counter.t;
-  unit_pids : (int, R.id) Hashtbl.t;
-      (* var -> derivation of its root-level unit; see [unit_pid] *)
 }
-
-let dummy_clause = { lits = [||]; pid = -1; learned = false; act = 0.0; deleted = false }
 
 (* The watch list of every literal nothing watches yet, shared by all
    solvers: a literal gets its own list at its first [watch], so
@@ -77,7 +88,14 @@ let create ?proof ?(reduce_base = 4000) () =
   let reg = Obs.ambient () in
   {
     proof;
-    arena = Array.make 64 dummy_clause;
+    lits = Array.make 256 0;
+    lits_used = 0;
+    c_start = Array.make 64 0;
+    c_size = Array.make 64 0;
+    c_pid = Array.make 64 0;
+    c_learned = Array.make 64 false;
+    c_deleted = Array.make 64 false;
+    c_act = Array.make 64 0.0;
     num_clauses = 0;
     nvars = 0;
     assign = Array.make 16 (-1);
@@ -86,12 +104,13 @@ let create ?proof ?(reduce_base = 4000) () =
     activity = Array.make 16 0.0;
     phase = Array.make 16 false;
     seen = Array.make 16 false;
+    unit_pids = Array.make 16 (-1);
     watches = Array.make 32 no_watches;
     trail = Veci.create ();
     trail_lim = Veci.create ();
     qhead = 0;
-    order = None;
-    spare_order = None;
+    order = Heap.create ();
+    order_built = false;
     var_inc = 1.0;
     unsat_root = None;
     learned_indices = Veci.create ();
@@ -105,6 +124,12 @@ let create ?proof ?(reduce_base = 4000) () =
     propagations = 0;
     learned = 0;
     restarts = 0;
+    learnt = Veci.create ();
+    to_clear = Veci.create ();
+    kept = Veci.create ();
+    removed = Veci.create ();
+    chain_ants = Veci.create ();
+    chain_pivots = Veci.create ();
     o_conflicts = Obs.Registry.counter reg "sat.conflicts";
     o_decisions = Obs.Registry.counter reg "sat.decisions";
     o_propagations = Obs.Registry.counter reg "sat.propagations";
@@ -112,7 +137,6 @@ let create ?proof ?(reduce_base = 4000) () =
     o_learned_size = Obs.Registry.histogram reg "sat.learned_clause_size";
     o_retired = Obs.Registry.counter reg "sat.retired_chains";
     o_carried = Obs.Registry.counter reg "sat.clauses_carried";
-    unit_pids = Hashtbl.create 64;
   }
 
 let shared_watch_list_size () = Veci.size no_watches
@@ -126,18 +150,18 @@ let num_propagations s = s.propagations
 let num_learned s = s.learned
 let num_restarts s = s.restarts
 
+(* The decision heap, filled with every declared variable at its first
+   use and kept up to date from then on: a solver that learns before
+   deciding builds it over the activities its bumps left. *)
 let order s =
-  match s.order with
-  | Some h -> h
-  | None ->
-    let h =
-      match s.spare_order with Some h -> h | None -> Heap.create (fun v -> s.activity.(v))
-    in
+  let h = s.order in
+  if not s.order_built then begin
     for v = 0 to s.nvars - 1 do
-      Heap.insert h v
+      Heap.insert h s.activity v
     done;
-    s.order <- Some h;
-    h
+    s.order_built <- true
+  end;
+  h
 
 (* Make room for [n] variables: every per-variable array is
    reallocated at most once, to [n] slots or double its capacity,
@@ -146,7 +170,7 @@ let order s =
 let grow_arrays s n =
   let cap = Array.length s.assign in
   if n > cap then begin
-    let cap' = max n (2 * cap) in
+    let cap' = Veci.grown_capacity cap n in
     let extend a fill =
       let b = Array.make cap' fill in
       Array.blit a 0 b 0 cap;
@@ -158,6 +182,7 @@ let grow_arrays s n =
     s.activity <- extend s.activity 0.0;
     s.phase <- extend s.phase false;
     s.seen <- extend s.seen false;
+    s.unit_pids <- extend s.unit_pids (-1);
     let wcap = Array.length s.watches in
     if 2 * cap' > wcap then begin
       let w = Array.make (2 * cap') no_watches in
@@ -169,12 +194,10 @@ let grow_arrays s n =
 let ensure_vars s n =
   if n > s.nvars then begin
     grow_arrays s n;
-    (match s.order with
-    | Some h ->
+    if s.order_built then
       for v = s.nvars to n - 1 do
-        Heap.insert h v
-      done
-    | None -> ());
+        Heap.insert s.order s.activity v
+      done;
     s.nvars <- n
   end
 
@@ -186,8 +209,8 @@ let new_var s =
 (* Back to the state [create] left, keeping every allocation: the
    per-variable arrays are refilled where variables were declared,
    watch lists emptied, the decision heap emptied (the next [order]
-   rebuilds it, as in a new solver) and the clause database and
-   counters dropped.  Registry handles and [reduce_base] stay. *)
+   refills it, as in a new solver) and the clause arena truncated.
+   Registry handles and [reduce_base] stay. *)
 let reset s =
   let n = s.nvars in
   Array.fill s.assign 0 n (-1);
@@ -196,22 +219,19 @@ let reset s =
   Array.fill s.activity 0 n 0.0;
   Array.fill s.phase 0 n false;
   Array.fill s.seen 0 n false;
+  Array.fill s.unit_pids 0 n (-1);
   for l = 0 to (2 * n) - 1 do
     let w = s.watches.(l) in
     if w != no_watches then Veci.clear w
   done;
-  Array.fill s.arena 0 s.num_clauses dummy_clause;
+  s.lits_used <- 0;
   s.num_clauses <- 0;
   s.nvars <- 0;
   Veci.clear s.trail;
   Veci.clear s.trail_lim;
   s.qhead <- 0;
-  (match s.order with
-  | Some h ->
-    Heap.clear h;
-    s.spare_order <- Some h;
-    s.order <- None
-  | None -> ());
+  Heap.clear s.order;
+  s.order_built <- false;
   s.var_inc <- 1.0;
   s.unsat_root <- None;
   Veci.clear s.learned_indices;
@@ -223,8 +243,7 @@ let reset s =
   s.decisions <- 0;
   s.propagations <- 0;
   s.learned <- 0;
-  s.restarts <- 0;
-  Hashtbl.clear s.unit_pids
+  s.restarts <- 0
 
 let scratch_clear s = Array.for_all not s.seen
 
@@ -246,54 +265,95 @@ let enqueue s l reason_idx =
     Veci.push s.trail l
   end
 
-let clause_ref s i = s.arena.(i)
-
-let push_arena s cr =
-  if s.num_clauses = Array.length s.arena then begin
-    let a = Array.make (2 * s.num_clauses) dummy_clause in
-    Array.blit s.arena 0 a 0 s.num_clauses;
-    s.arena <- a
+(* Append a clause of [n] literals to the arena and return its index;
+   the caller writes its literals at [c_start] (after this call, which
+   may reallocate [lits]). *)
+let new_clause s n pid ~learned ~act =
+  let ci = s.num_clauses in
+  if ci = Array.length s.c_start then begin
+    let cap = 2 * ci in
+    let extend a fill =
+      let b = Array.make cap fill in
+      Array.blit a 0 b 0 ci;
+      b
+    in
+    s.c_start <- extend s.c_start 0;
+    s.c_size <- extend s.c_size 0;
+    s.c_pid <- extend s.c_pid 0;
+    s.c_learned <- extend s.c_learned false;
+    s.c_deleted <- extend s.c_deleted false;
+    s.c_act <- extend s.c_act 0.0
   end;
-  s.arena.(s.num_clauses) <- cr;
-  s.num_clauses <- s.num_clauses + 1;
-  s.num_clauses - 1
+  let start = s.lits_used in
+  let len = Array.length s.lits in
+  if start + n > len then begin
+    let lits = Array.make (Veci.grown_capacity len (start + n)) 0 in
+    Array.blit s.lits 0 lits 0 start;
+    s.lits <- lits
+  end;
+  s.c_start.(ci) <- start;
+  s.c_size.(ci) <- n;
+  s.c_pid.(ci) <- pid;
+  s.c_learned.(ci) <- learned;
+  s.c_deleted.(ci) <- false;
+  s.c_act.(ci) <- act;
+  s.lits_used <- start + n;
+  s.num_clauses <- ci + 1;
+  ci
 
 let watch s l ci =
   if s.watches.(l) == no_watches then s.watches.(l) <- Veci.create ~capacity:4 ();
   Veci.push s.watches.(l) ci
 
-(* Derive the empty clause from a clause falsified at level 0 by
+(* The chain [chain_ants]/[chain_pivots] as a proof node: the single
+   antecedent itself, or a new chain deriving [clause]. *)
+let log_chain s clause =
+  if Veci.size s.chain_ants = 1 then Veci.get s.chain_ants 0
+  else
+    R.add_chain s.proof ~clause ~antecedents:(Veci.to_array s.chain_ants)
+      ~pivots:(Veci.to_array s.chain_pivots)
+
+let start_chain s pid =
+  Veci.clear s.chain_ants;
+  Veci.clear s.chain_pivots;
+  Veci.push s.chain_ants pid
+
+(* Resolve on [v] with its reason clause [ri], and mark that clause's
+   other variables in [seen]. *)
+let resolve_reason s v ri =
+  Veci.push s.chain_ants s.c_pid.(ri);
+  Veci.push s.chain_pivots v;
+  let start = s.c_start.(ri) in
+  for k = start to start + s.c_size.(ri) - 1 do
+    let u = Lit.var s.lits.(k) in
+    if u <> v then s.seen.(u) <- true
+  done
+
+(* Derive the empty clause from clause [ci], falsified at level 0, by
    resolving every literal against the reason chain of its variable, in
    reverse trail order.  Returns the proof id of the empty clause. *)
-let derive_empty_at_level0 s start_clause start_pid =
+let derive_empty_at_level0 s ci =
   assert (decision_level s = 0);
-  let chain_ants = ref [ start_pid ] and chain_pivots = ref [] in
+  start_chain s s.c_pid.(ci);
   (* [seen] marks the variables still to resolve away; each is on the
      trail below the point the walk has reached, so the walk clears
      every mark. *)
-  let pending = s.seen in
-  Array.iter
-    (fun l ->
-      assert (lit_value s l = 0);
-      pending.(Lit.var l) <- true)
-    (start_clause : Clause.t :> int array);
+  let start = s.c_start.(ci) in
+  for k = start to start + s.c_size.(ci) - 1 do
+    let l = s.lits.(k) in
+    assert (lit_value s l = 0);
+    s.seen.(Lit.var l) <- true
+  done;
   for idx = Veci.size s.trail - 1 downto 0 do
-    let t = Veci.get s.trail idx in
-    let v = Lit.var t in
-    if pending.(v) then begin
-      pending.(v) <- false;
+    let v = Lit.var (Veci.get s.trail idx) in
+    if s.seen.(v) then begin
+      s.seen.(v) <- false;
       let ri = s.reason.(v) in
       assert (ri >= 0);
-      let cr = clause_ref s ri in
-      chain_ants := cr.pid :: !chain_ants;
-      chain_pivots := v :: !chain_pivots;
-      Array.iter (fun l -> if Lit.var l <> v then pending.(Lit.var l) <- true) cr.lits
+      resolve_reason s v ri
     end
   done;
-  let antecedents = Array.of_list (List.rev !chain_ants) in
-  let pivots = Array.of_list (List.rev !chain_pivots) in
-  if Array.length antecedents = 1 then start_pid
-  else R.add_chain s.proof ~clause:Clause.empty ~antecedents ~pivots
+  log_chain s Clause.empty
 
 let cancel_until s blevel =
   if decision_level s > blevel then begin
@@ -303,14 +363,14 @@ let cancel_until s blevel =
       s.assign.(v) <- -1;
       s.reason.(v) <- -1;
       let h = order s in
-      if not (Heap.mem h v) then Heap.insert h v
+      if not (Heap.mem h v) then Heap.insert h s.activity v
     done;
     Veci.shrink s.trail bound;
     Veci.shrink s.trail_lim blevel;
     s.qhead <- bound
   end
 
-let set_unsat s root = if s.unsat_root = None then s.unsat_root <- Some root
+let set_unsat s root = if Option.is_none s.unsat_root then s.unsat_root <- Some root
 
 let add_clause_with_pid s c pid =
   ensure_vars s (Clause.max_var c + 1);
@@ -319,33 +379,35 @@ let add_clause_with_pid s c pid =
   cancel_until s 0;
   if Clause.is_empty c then set_unsat s pid
   else begin
+    let n = Clause.size c in
+    let ci = new_clause s n pid ~learned:false ~act:0.0 in
+    let lits = s.lits and start = s.c_start.(ci) in
+    Array.blit (c :> int array) 0 lits start n;
     (* Order literals so the first two are non-false when possible
        (clauses are only added at level 0). *)
-    let arr = Clause.lits c in
-    let n = Array.length arr in
-    let k = ref 0 in
-    for i = 0 to n - 1 do
-      if lit_value s arr.(i) <> 0 then begin
-        let tmp = arr.(!k) in
-        arr.(!k) <- arr.(i);
-        arr.(i) <- tmp;
+    let k = ref start in
+    for i = start to start + n - 1 do
+      let l = lits.(i) in
+      if lit_value s l <> 0 then begin
+        lits.(i) <- lits.(!k);
+        lits.(!k) <- l;
         incr k
       end
     done;
-    let ci = push_arena s { lits = arr; pid; learned = false; act = 0.0; deleted = false } in
-    if !k = 0 then
+    let k = !k - start in
+    if k = 0 then
       (* Every literal is already false at level 0. *)
-      set_unsat s (derive_empty_at_level0 s c pid)
-    else if n = 1 || !k = 1 then begin
-      if lit_value s arr.(0) < 0 then enqueue s arr.(0) ci;
+      set_unsat s (derive_empty_at_level0 s ci)
+    else if n = 1 || k = 1 then begin
+      if lit_value s lits.(start) < 0 then enqueue s lits.(start) ci;
       if n >= 2 then begin
-        watch s arr.(0) ci;
-        watch s arr.(1) ci
+        watch s lits.(start) ci;
+        watch s lits.(start + 1) ci
       end
     end
     else begin
-      watch s arr.(0) ci;
-      watch s arr.(1) ci
+      watch s lits.(start) ci;
+      watch s lits.(start + 1) ci
     end
   end
 
@@ -360,79 +422,77 @@ let add_formula s f =
   ensure_vars s (Cnf.Formula.num_vars f);
   Cnf.Formula.iter (fun c -> add_clause s c) f
 
-exception Conflict of int
-
 (* Two-watched-literal propagation.  Returns the arena index of a
    conflicting clause, or -1. *)
 let propagate s =
-  try
-    while s.qhead < Veci.size s.trail do
-      let p = Veci.get s.trail s.qhead in
-      s.qhead <- s.qhead + 1;
-      s.propagations <- s.propagations + 1;
-      Obs.Counter.incr s.o_propagations;
-      let false_lit = Lit.neg p in
-      let wl = s.watches.(false_lit) in
-      let n = Veci.size wl in
-      let keep = ref 0 in
-      let i = ref 0 in
-      (try
-         while !i < n do
-           let ci = Veci.get wl !i in
-           incr i;
-           let cr = clause_ref s ci in
-           if cr.deleted then () else begin
-           let lits = cr.lits in
-           (* Normalize: watched false literal in position 1. *)
-           if lits.(0) = false_lit then begin
-             lits.(0) <- lits.(1);
-             lits.(1) <- false_lit
-           end;
-           if lit_value s lits.(0) = 1 then begin
-             Veci.set wl !keep ci;
-             incr keep
-           end
-           else begin
-             (* Look for a replacement watch. *)
-             let len = Array.length lits in
-             let rec find k = if k >= len then -1 else if lit_value s lits.(k) <> 0 then k else find (k + 1) in
-             let k = find 2 in
-             if k >= 0 then begin
-               lits.(1) <- lits.(k);
-               lits.(k) <- false_lit;
-               watch s lits.(1) ci
-             end
-             else begin
-               (* Unit or conflict. *)
-               Veci.set wl !keep ci;
-               incr keep;
-               if lit_value s lits.(0) = 0 then begin
-                 (* Conflict: retain the remaining watchers. *)
-                 while !i < n do
-                   Veci.set wl !keep (Veci.get wl !i);
-                   incr keep;
-                   incr i
-                 done;
-                 Veci.shrink wl !keep;
-                 raise (Conflict ci)
-               end
-               else enqueue s lits.(0) ci
-             end
-           end
-           end
-         done;
-         if !keep < n then Veci.shrink wl !keep
-       with Conflict _ as e -> raise e)
+  let confl = ref (-1) in
+  while !confl < 0 && s.qhead < Veci.size s.trail do
+    let p = Veci.get s.trail s.qhead in
+    s.qhead <- s.qhead + 1;
+    s.propagations <- s.propagations + 1;
+    Obs.Counter.incr s.o_propagations;
+    let false_lit = Lit.neg p in
+    let wl = s.watches.(false_lit) in
+    let n = Veci.size wl in
+    let keep = ref 0 in
+    let i = ref 0 in
+    while !i < n do
+      let ci = Veci.get wl !i in
+      incr i;
+      if not s.c_deleted.(ci) then begin
+        let lits = s.lits and start = s.c_start.(ci) in
+        (* Normalize: watched false literal in position 1. *)
+        if lits.(start) = false_lit then begin
+          lits.(start) <- lits.(start + 1);
+          lits.(start + 1) <- false_lit
+        end;
+        if lit_value s lits.(start) = 1 then begin
+          Veci.set wl !keep ci;
+          incr keep
+        end
+        else begin
+          (* Look for a replacement watch. *)
+          let stop = start + s.c_size.(ci) in
+          let k = ref (start + 2) in
+          while !k < stop && lit_value s lits.(!k) = 0 do
+            incr k
+          done;
+          if !k < stop then begin
+            lits.(start + 1) <- lits.(!k);
+            lits.(!k) <- false_lit;
+            watch s lits.(start + 1) ci
+          end
+          else begin
+            (* Unit or conflict. *)
+            Veci.set wl !keep ci;
+            incr keep;
+            if lit_value s lits.(start) = 0 then begin
+              (* Conflict: retain the remaining watchers. *)
+              while !i < n do
+                Veci.set wl !keep (Veci.get wl !i);
+                incr keep;
+                incr i
+              done;
+              confl := ci
+            end
+            else enqueue s lits.(start) ci
+          end
+        end
+      end
     done;
-    -1
-  with Conflict ci -> ci
+    if !keep < n then Veci.shrink wl !keep
+  done;
+  !confl
 
 let bump_clause s ci =
-  let cr = s.arena.(ci) in
-  if cr.learned then begin
-    cr.act <- cr.act +. s.cla_inc;
-    if cr.act > 1e20 then begin
-      Veci.iter (fun i -> s.arena.(i).act <- s.arena.(i).act *. 1e-20) s.learned_indices;
+  if s.c_learned.(ci) then begin
+    let act = s.c_act.(ci) +. s.cla_inc in
+    s.c_act.(ci) <- act;
+    if act > 1e20 then begin
+      for k = 0 to Veci.size s.learned_indices - 1 do
+        let i = Veci.get s.learned_indices k in
+        s.c_act.(i) <- s.c_act.(i) *. 1e-20
+      done;
       s.cla_inc <- s.cla_inc *. 1e-20
     end
   end
@@ -445,34 +505,44 @@ let bump_var s v =
     done;
     s.var_inc <- s.var_inc *. 1e-100
   end;
-  match s.order with Some h -> Heap.update h v | None -> ()
+  if s.order_built then Heap.update s.order s.activity v
 
 let decay s =
   s.var_inc <- s.var_inc /. 0.95;
   s.cla_inc <- s.cla_inc /. 0.999
 
-(* First-UIP conflict analysis with proof logging.  Returns
-   (learned clause literals with the asserting literal first,
-    backtrack level, proof id of the learned clause). *)
+(* Self-subsumption minimization: a kept literal q is redundant when
+   every literal of its reason (other than ~q) is already marked — i.e.
+   in the clause or eliminated at level 0. *)
+let removable s q =
+  let v = Lit.var q in
+  let ri = s.reason.(v) in
+  ri >= 0
+  &&
+  let start = s.c_start.(ri) in
+  let stop = start + s.c_size.(ri) in
+  let k = ref start in
+  while
+    !k < stop
+    &&
+    let u = Lit.var s.lits.(!k) in
+    u = v || s.seen.(u)
+  do
+    incr k
+  done;
+  !k = stop
+
+(* First-UIP conflict analysis with proof logging.  Leaves the learned
+   clause in [learnt], asserting literal first, and returns its proof
+   id. *)
 let analyze s confl_idx =
   let dl = decision_level s in
   assert (dl > 0);
-  let learnt = Veci.create () in
-  let to_clear = Veci.create () in
-  let chain_ants = ref [ (clause_ref s confl_idx).pid ] in
-  let chain_pivots = ref [] in
+  let learnt = s.learnt and to_clear = s.to_clear in
+  Veci.clear learnt;
+  Veci.clear to_clear;
+  start_chain s s.c_pid.(confl_idx);
   let counter = ref 0 in
-  let mark q =
-    let v = Lit.var q in
-    if not s.seen.(v) then begin
-      s.seen.(v) <- true;
-      if s.level.(v) > 0 then begin
-        Veci.push to_clear v;
-        bump_var s v;
-        if s.level.(v) = dl then incr counter else Veci.push learnt q
-      end
-    end
-  in
   bump_clause s confl_idx;
   let confl = ref confl_idx in
   let skip = ref (-1) in
@@ -480,7 +550,19 @@ let analyze s confl_idx =
   let uip = ref (-1) in
   let continue = ref true in
   while !continue do
-    Array.iter (fun q -> if q <> !skip then mark q) (clause_ref s !confl).lits;
+    let start = s.c_start.(!confl) in
+    for k = start to start + s.c_size.(!confl) - 1 do
+      let q = s.lits.(k) in
+      let v = Lit.var q in
+      if q <> !skip && not s.seen.(v) then begin
+        s.seen.(v) <- true;
+        if s.level.(v) > 0 then begin
+          Veci.push to_clear v;
+          bump_var s v;
+          if s.level.(v) = dl then incr counter else Veci.push learnt q
+        end
+      end
+    done;
     while not s.seen.(Lit.var (Veci.get s.trail !idx)) do
       decr idx
     done;
@@ -498,25 +580,18 @@ let analyze s confl_idx =
       assert (ri >= 0);
       bump_clause s ri;
       confl := ri;
-      chain_ants := (clause_ref s ri).pid :: !chain_ants;
-      chain_pivots := v :: !chain_pivots;
+      Veci.push s.chain_ants s.c_pid.(ri);
+      Veci.push s.chain_pivots v;
       skip := p
     end
   done;
-  let uip_lit = Lit.neg !uip in
-  (* Self-subsumption minimization: a kept literal q is redundant when
-     every literal of its reason (other than ~q) is already marked —
-     i.e. in the clause or eliminated at level 0. *)
-  let removable q =
-    let v = Lit.var q in
-    let ri = s.reason.(v) in
-    ri >= 0
-    && Array.for_all
-         (fun r -> Lit.var r = v || s.seen.(Lit.var r))
-         (clause_ref s ri).lits
-  in
-  let kept = Veci.create () and removed = Veci.create () in
-  Veci.iter (fun q -> if removable q then Veci.push removed q else Veci.push kept q) learnt;
+  let kept = s.kept and removed = s.removed in
+  Veci.clear kept;
+  Veci.clear removed;
+  for i = 0 to Veci.size learnt - 1 do
+    let q = Veci.get learnt i in
+    if removable s q then Veci.push removed q else Veci.push kept q
+  done;
   (* Marks stay on removed literals: removal is decided in one pass over
      the original marks, and a removed literal whose reason mentions
      another removed literal is fine (that one is eliminated later in
@@ -528,7 +603,9 @@ let analyze s confl_idx =
      trail from the top of level [dl - 1]. *)
   let nremoved = Veci.size removed in
   if nremoved > 0 then begin
-    Veci.iter (fun q -> s.seen.(Lit.var q) <- false) kept;
+    for i = 0 to Veci.size kept - 1 do
+      s.seen.(Lit.var (Veci.get kept i)) <- false
+    done;
     Veci.clear removed;
     let idx = ref (Veci.get s.trail_lim (dl - 1) - 1) in
     while Veci.size removed < nremoved do
@@ -537,83 +614,83 @@ let analyze s confl_idx =
       if s.seen.(v) && s.level.(v) > 0 then Veci.push removed (Lit.neg t);
       decr idx
     done;
-    Veci.iter (fun q -> s.seen.(Lit.var q) <- true) kept
+    for i = 0 to Veci.size kept - 1 do
+      s.seen.(Lit.var (Veci.get kept i)) <- true
+    done
   end;
-  Veci.iter
-    (fun q ->
-      let v = Lit.var q in
-      let cr = clause_ref s s.reason.(v) in
-      chain_ants := cr.pid :: !chain_ants;
-      chain_pivots := v :: !chain_pivots;
-      Array.iter
-        (fun r ->
-          let u = Lit.var r in
-          if u <> v && not s.seen.(u) then begin
-            (* Only level-0 literals can be unmarked here. *)
-            assert (s.level.(u) = 0);
-            s.seen.(u) <- true
-          end)
-        cr.lits)
-    removed;
+  for i = 0 to nremoved - 1 do
+    let v = Lit.var (Veci.get removed i) in
+    let ri = s.reason.(v) in
+    Veci.push s.chain_ants s.c_pid.(ri);
+    Veci.push s.chain_pivots v;
+    let start = s.c_start.(ri) in
+    for k = start to start + s.c_size.(ri) - 1 do
+      let u = Lit.var s.lits.(k) in
+      if u <> v && not s.seen.(u) then begin
+        (* Only level-0 literals can be unmarked here. *)
+        assert (s.level.(u) = 0);
+        s.seen.(u) <- true
+      end
+    done
+  done;
   (* Eliminate level-0 literals by resolving with their reasons in
      reverse trail order.  With the marks above level 0 cleared, the
      marked variables are the level-0 ones still to eliminate; each
      reason's other literals sit lower on the trail, so the walk clears
      every mark. *)
-  Veci.iter (fun v -> s.seen.(v) <- false) to_clear;
+  for i = 0 to Veci.size to_clear - 1 do
+    s.seen.(Veci.get to_clear i) <- false
+  done;
   let zero_bound = if Veci.size s.trail_lim > 0 then Veci.get s.trail_lim 0 else Veci.size s.trail in
   for tidx = zero_bound - 1 downto 0 do
-    let tl = Veci.get s.trail tidx in
-    let v = Lit.var tl in
+    let v = Lit.var (Veci.get s.trail tidx) in
     if s.seen.(v) then begin
       s.seen.(v) <- false;
-      let cr = clause_ref s s.reason.(v) in
-      chain_ants := cr.pid :: !chain_ants;
-      chain_pivots := v :: !chain_pivots;
-      Array.iter (fun r -> if Lit.var r <> v then s.seen.(Lit.var r) <- true) cr.lits
+      resolve_reason s v s.reason.(v)
     end
   done;
-  let final_lits = uip_lit :: Veci.to_list kept in
-  let clause = Clause.of_list final_lits in
-  let antecedents = Array.of_list (List.rev !chain_ants) in
-  let pivots = Array.of_list (List.rev !chain_pivots) in
-  let pid =
-    if Array.length antecedents = 1 then (clause_ref s confl_idx).pid
-    else R.add_chain s.proof ~clause ~antecedents ~pivots
-  in
-  (* Backtrack to the second-highest level in the clause. *)
-  let blevel = Veci.fold (fun acc q -> max acc s.level.(Lit.var q)) 0 kept in
-  (uip_lit, Veci.to_array kept, blevel, pid, clause)
+  Veci.clear learnt;
+  Veci.push learnt (Lit.neg !uip);
+  for i = 0 to Veci.size kept - 1 do
+    Veci.push learnt (Veci.get kept i)
+  done;
+  if Veci.size s.chain_ants = 1 then s.c_pid.(confl_idx)
+  else log_chain s (Clause.of_array (Veci.to_array learnt))
 
-let record_learned s uip_lit kept blevel pid =
+(* Add the clause [analyze] left in [learnt] and assert its first
+   literal, after backtracking to the highest level among the others. *)
+let record_learned s pid =
   s.learned <- s.learned + 1;
-  let n = 1 + Array.length kept in
+  let learnt = s.learnt in
+  let n = Veci.size learnt in
   Obs.Histogram.observe s.o_learned_size (float_of_int n);
+  let uip_lit = Veci.get learnt 0 in
   if n = 1 then begin
     (* Unit learned clause: assert at level 0. *)
     cancel_until s 0;
-    let ci =
-      push_arena s { lits = [| uip_lit |]; pid; learned = true; act = s.cla_inc; deleted = false }
-    in
+    let ci = new_clause s 1 pid ~learned:true ~act:s.cla_inc in
+    s.lits.(s.c_start.(ci)) <- uip_lit;
     enqueue s uip_lit ci
   end
   else begin
-    (* Watch the asserting literal and one literal from blevel. *)
-    let lits = Array.make n uip_lit in
-    Array.blit kept 0 lits 1 (Array.length kept);
+    (* Watch the asserting literal and one literal from the backtrack
+       level: the first of the highest level, moved to position 1. *)
     let best = ref 1 in
     for i = 2 to n - 1 do
-      if s.level.(Lit.var lits.(i)) > s.level.(Lit.var lits.(!best)) then best := i
+      if s.level.(Lit.var (Veci.get learnt i)) > s.level.(Lit.var (Veci.get learnt !best)) then
+        best := i
     done;
-    let tmp = lits.(1) in
-    lits.(1) <- lits.(!best);
-    lits.(!best) <- tmp;
-    cancel_until s blevel;
-    let ci = push_arena s { lits; pid; learned = true; act = s.cla_inc; deleted = false } in
+    Veci.swap learnt 1 !best;
+    cancel_until s s.level.(Lit.var (Veci.get learnt 1));
+    let ci = new_clause s n pid ~learned:true ~act:s.cla_inc in
+    let start = s.c_start.(ci) in
+    for i = 0 to n - 1 do
+      s.lits.(start + i) <- Veci.get learnt i
+    done;
     Veci.push s.learned_indices ci;
     s.live_learned <- s.live_learned + 1;
-    watch s lits.(0) ci;
-    watch s lits.(1) ci;
+    watch s uip_lit ci;
+    watch s s.lits.(start + 1) ci;
     enqueue s uip_lit ci
   end
 
@@ -621,28 +698,34 @@ let record_learned s uip_lit kept blevel pid =
    untouched: the resolution store keeps every chain).  Binary and
    locked (currently-a-reason) clauses are kept; deleted clauses are
    dropped lazily from watch lists during propagation. *)
-let locked s ci =
-  let cr = s.arena.(ci) in
-  Array.length cr.lits > 0 && s.reason.(Lit.var cr.lits.(0)) = ci
+let locked s ci = s.c_size.(ci) > 0 && s.reason.(Lit.var s.lits.(s.c_start.(ci))) = ci
 
 let reduce_db s =
   s.reductions <- s.reductions + 1;
-  let live =
-    Veci.fold (fun acc ci -> if s.arena.(ci).deleted then acc else ci :: acc) [] s.learned_indices
-  in
-  let sorted = List.sort (fun a b -> compare s.arena.(a).act s.arena.(b).act) live in
-  let to_remove = List.length sorted / 2 in
+  (* The live learned clauses, newest first, stably sorted by activity. *)
+  let n = Veci.size s.learned_indices in
+  let live = Array.make n 0 in
+  let nlive = ref 0 in
+  for k = n - 1 downto 0 do
+    let ci = Veci.get s.learned_indices k in
+    if not s.c_deleted.(ci) then begin
+      live.(!nlive) <- ci;
+      incr nlive
+    end
+  done;
+  let sorted = Array.sub live 0 !nlive in
+  Array.stable_sort (fun a b -> Float.compare s.c_act.(a) s.c_act.(b)) sorted;
+  let to_remove = !nlive / 2 in
   let removed = ref 0 in
-  List.iter
+  Array.iter
     (fun ci ->
-      let cr = s.arena.(ci) in
-      if !removed < to_remove && Array.length cr.lits > 2 && not (locked s ci) then begin
-        cr.deleted <- true;
+      if !removed < to_remove && s.c_size.(ci) > 2 && not (locked s ci) then begin
+        s.c_deleted.(ci) <- true;
         (* The proof node stays (later chains may still cite it), but a
            clause the solver dropped is never an antecedent of a chain
            learned after this point — exactly the deletion hint a
            streaming certificate encoder wants. *)
-        Veci.push s.retired cr.pid;
+        Veci.push s.retired s.c_pid.(ci);
         Obs.Counter.incr s.o_retired;
         incr removed;
         s.live_learned <- s.live_learned - 1
@@ -653,13 +736,12 @@ let all_assigned s = Veci.size s.trail = s.nvars
 
 let pick_branch s =
   let h = order s in
-  let rec loop () =
-    if Heap.is_empty h then -1
-    else
-      let v = Heap.pop h in
-      if s.assign.(v) < 0 then v else loop ()
-  in
-  loop ()
+  let v = ref (-1) in
+  while !v < 0 && not (Heap.is_empty h) do
+    let x = Heap.pop h s.activity in
+    if s.assign.(x) < 0 then v := x
+  done;
+  !v
 
 (* The assumption literal [l] is false under the current trail; derive
    a clause over negated assumptions explaining why, by resolving the
@@ -682,36 +764,28 @@ let analyze_final s l =
     let clause = Clause.singleton (Lit.neg l) in
     (clause, R.add_leaf ~assumption:true s.proof clause)
   else begin
-  let cr0 = clause_ref s r0 in
-  let chain_ants = ref [ cr0.pid ] and chain_pivots = ref [] in
-  (* [seen] marks the variables still to explain; all were assigned
-     before the walk reaches them, so it clears every mark. *)
-  let pending = s.seen in
-  let kept = ref [ Lit.neg l ] in
-  Array.iter (fun q -> if Lit.var q <> v0 then pending.(Lit.var q) <- true) cr0.lits;
-  for idx = Veci.size s.trail - 1 downto 0 do
-    let t = Veci.get s.trail idx in
-    let v = Lit.var t in
-    if pending.(v) then begin
-      pending.(v) <- false;
-      let ri = s.reason.(v) in
-      if ri < 0 then kept := Lit.neg t :: !kept
-      else begin
-        let cr = clause_ref s ri in
-        chain_ants := cr.pid :: !chain_ants;
-        chain_pivots := v :: !chain_pivots;
-        Array.iter (fun q -> if Lit.var q <> v then pending.(Lit.var q) <- true) cr.lits
+    start_chain s s.c_pid.(r0);
+    (* [seen] marks the variables still to explain; all were assigned
+       before the walk reaches them, so it clears every mark. *)
+    let kept = s.kept in
+    Veci.clear kept;
+    Veci.push kept (Lit.neg l);
+    let start = s.c_start.(r0) in
+    for k = start to start + s.c_size.(r0) - 1 do
+      let u = Lit.var s.lits.(k) in
+      if u <> v0 then s.seen.(u) <- true
+    done;
+    for idx = Veci.size s.trail - 1 downto 0 do
+      let t = Veci.get s.trail idx in
+      let v = Lit.var t in
+      if s.seen.(v) then begin
+        s.seen.(v) <- false;
+        let ri = s.reason.(v) in
+        if ri < 0 then Veci.push kept (Lit.neg t) else resolve_reason s v ri
       end
-    end
-  done;
-  let clause = Clause.of_list !kept in
-  let antecedents = Array.of_list (List.rev !chain_ants) in
-  let pivots = Array.of_list (List.rev !chain_pivots) in
-  let pid =
-    if Array.length antecedents = 1 then cr0.pid
-    else R.add_chain s.proof ~clause ~antecedents ~pivots
-  in
-  (clause, pid)
+    done;
+    let clause = Clause.of_array (Veci.to_array kept) in
+    (clause, log_chain s clause)
   end
 
 (* Truth value of [l] under the root-level (level-0) assignment only:
@@ -735,31 +809,34 @@ let root_lit_value s l =
    assignments are locked, so the chains stay valid for the lifetime of
    the solver. *)
 let rec unit_pid s v =
-  match Hashtbl.find_opt s.unit_pids v with
-  | Some pid -> pid
-  | None ->
-    let cr = clause_ref s s.reason.(v) in
-    let t = Lit.make v ~neg:(s.assign.(v) = 0) in
+  let memo = s.unit_pids.(v) in
+  if memo >= 0 then memo
+  else begin
+    let ri = s.reason.(v) in
+    let n = s.c_size.(ri) in
     let pid =
-      if Array.length cr.lits = 1 then cr.pid
+      if n = 1 then s.c_pid.(ri)
       else begin
-        let ants = ref [] and pivots = ref [] in
-        Array.iter
-          (fun q ->
-            let w = Lit.var q in
-            if w <> v then begin
-              ants := unit_pid s w :: !ants;
-              pivots := w :: !pivots
-            end)
-          cr.lits;
+        (* The reason, then the other literals' units in clause order;
+           each recursion logs its own chains first. *)
+        let antecedents = Array.make n s.c_pid.(ri) and pivots = Array.make (n - 1) 0 in
+        let j = ref 0 in
+        for k = 0 to n - 1 do
+          let w = Lit.var s.lits.(s.c_start.(ri) + k) in
+          if w <> v then begin
+            antecedents.(!j + 1) <- unit_pid s w;
+            pivots.(!j) <- w;
+            incr j
+          end
+        done;
         R.add_chain s.proof
-          ~clause:(Clause.singleton t)
-          ~antecedents:(Array.of_list (cr.pid :: List.rev !ants))
-          ~pivots:(Array.of_list (List.rev !pivots))
+          ~clause:(Clause.singleton (Lit.make v ~neg:(s.assign.(v) = 0)))
+          ~antecedents ~pivots
       end
     in
-    Hashtbl.replace s.unit_pids v pid;
+    s.unit_pids.(v) <- pid;
     pid
+  end
 
 let derive_fixed s l =
   if root_lit_value s l <> 1 then None
@@ -779,14 +856,10 @@ let model s =
    [derive_fixed] without a full [solve].  A root-level conflict makes
    the solver permanently unsatisfiable, exactly as in [solve]. *)
 let propagate_root s =
-  if s.unsat_root = None then begin
+  if Option.is_none s.unsat_root then begin
     cancel_until s 0;
     let confl = propagate s in
-    if confl >= 0 then begin
-      let cr = clause_ref s confl in
-      let root = derive_empty_at_level0 s (Clause.of_array cr.lits) cr.pid in
-      set_unsat s root
-    end
+    if confl >= 0 then set_unsat s (derive_empty_at_level0 s confl)
   end
 
 let solve ?max_conflicts ?(assumptions = []) s =
@@ -810,15 +883,13 @@ let solve ?max_conflicts ?(assumptions = []) s =
         s.conflicts <- s.conflicts + 1;
         Obs.Counter.incr s.o_conflicts;
         if decision_level s = 0 then begin
-          let cr = clause_ref s confl in
-          let root = derive_empty_at_level0 s (Clause.of_array cr.lits) cr.pid in
+          let root = derive_empty_at_level0 s confl in
           set_unsat s root;
           Unsat root
         end
         else if s.conflicts - start_conflicts > budget then Unknown
         else begin
-          let uip_lit, kept, blevel, pid, _clause = analyze s confl in
-          record_learned s uip_lit kept blevel pid;
+          record_learned s (analyze s confl);
           decay s;
           decr restart_budget;
           if s.live_learned > s.reduce_base + (1000 * s.reductions) then reduce_db s;

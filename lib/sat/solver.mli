@@ -13,7 +13,17 @@
     derivation of the negated assumptions from the other clauses alone.
     Learned clauses may be deleted from the {e solver} under memory
     pressure, but never from the {e proof store}, so every logged chain
-    stays permanently valid. *)
+    stays permanently valid.
+
+    Clauses live in one arena, MiniSat 2.2's layout: every clause's
+    literals in one flat [int] array, and one [int] or [float] array
+    per clause field (start, size, proof node, learned and deleted
+    flags, activity).  Adding a clause copies its literals there and
+    allocates nothing once the arena has grown; a deleted learned
+    clause keeps its place until {!reset} truncates the arena.
+    Conflict analysis builds its learned clause and resolution chain in
+    vectors the solver owns, and the decision heap reads the activity
+    array directly. *)
 
 type t
 
@@ -63,11 +73,13 @@ val ensure_vars : t -> int -> unit
     with [t]'s [reduce_base], without allocating: the per-variable
     arrays keep their capacity and are refilled, watch lists are
     emptied but kept, the decision heap is emptied and rebuilt as a new
-    solver's would be, and the clause database and every counter are
-    dropped, so the same calls then give the same search, counters and
-    proof nodes as on a new solver.  The proof store is left alone
-    (clear it with {!Proof.Resolution.clear}), and the ambient-registry
-    handles stay those resolved at [create]. *)
+    solver's would be, the clause arena is truncated (the next clauses,
+    original or learned, overwrite the space of the old ones, deleted
+    learned clauses included) and every counter is dropped, so the
+    same calls then give the same search, counters and proof nodes as
+    on a new solver.  The proof store is left alone (clear it with
+    {!Proof.Resolution.clear}), and the ambient-registry handles stay
+    those resolved at [create]. *)
 val reset : t -> unit
 
 (** Length of the one watch list shared by every literal that no clause

@@ -54,6 +54,8 @@ let grow v n x =
     v.size <- v.size + 1
   done
 
+let grown_capacity len n = if n > 2 * len then n else 2 * len
+
 let iter f v =
   for i = 0 to v.size - 1 do
     f (Array.unsafe_get v.data i)

@@ -38,6 +38,12 @@ val clear : t -> unit
 (** [grow v n x] extends [v] with copies of [x] until [size v >= n]. *)
 val grow : t -> int -> int -> unit
 
+(** [grown_capacity len n] is the length to grow a plain array of
+    length [len] to so that it holds [n] elements: twice [len], or [n]
+    if that is more.  For arrays kept beside vectors, such as tables
+    indexed by id, so that growing them stays amortized O(1). *)
+val grown_capacity : int -> int -> int
+
 val iter : (int -> unit) -> t -> unit
 val iteri : (int -> int -> unit) -> t -> unit
 val fold : ('a -> int -> 'a) -> 'a -> t -> 'a

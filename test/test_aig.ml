@@ -208,7 +208,12 @@ let test_cone_support () =
   Alcotest.(check (array int)) "same mark: only the unreached part" [| 3; 6 |]
     (Aig.Cone.unmarked g ~marks ~mark:1 [ Aig.Lit.neg ab; bc ]);
   Alcotest.(check (array int)) "new mark: the whole cone" [| 1; 2; 3; 5; 6 |]
-    (Aig.Cone.unmarked g ~marks ~mark:2 [ bc; ab ])
+    (Aig.Cone.unmarked g ~marks ~mark:2 [ bc; ab ]);
+  (* [mark] stamps the same cone without listing it. *)
+  Aig.Cone.mark g ~marks ~mark:3 [ bc ];
+  Alcotest.(check (array int)) "mark stamps the cone of bc" [| 0; 2; 3; 3; 0; 2; 3 |] marks;
+  Alcotest.(check (array int)) "then unmarked lists the rest" [| 1; 5 |]
+    (Aig.Cone.unmarked g ~marks ~mark:3 [ ab ])
 
 let prop_extract_cone_preserves =
   qtest "extract_cone preserves functions" ~count:50

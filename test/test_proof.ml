@@ -131,7 +131,7 @@ let test_lift_simple () =
     R.add_chain proof ~clause:(Clause.singleton (lit 1)) ~antecedents:[| impl; a |] ~pivots:[| 0 |]
   in
   let root = R.add_chain proof ~clause:Clause.empty ~antecedents:[| step1; nb |] ~pivots:[| 1 |] in
-  let lifted_root, lifted = Proof.Lift.refutation proof ~root in
+  let lifted_root, lifted = Proof.Lift.refutation ~scratch:(Proof.Lift.scratch ()) proof ~root in
   Alcotest.(check bool) "subsumes (~a b)" true
     (Clause.subsumes lifted (Clause.of_list [ nlit 0; lit 1 ]));
   Alcotest.(check bool) "no assumptions reachable" true
@@ -140,13 +140,13 @@ let test_lift_simple () =
 let test_lift_requires_empty_root () =
   let proof = R.create () in
   let l = R.add_leaf proof (Clause.singleton (lit 0)) in
-  match Proof.Lift.refutation proof ~root:l with
+  match Proof.Lift.refutation ~scratch:(Proof.Lift.scratch ()) proof ~root:l with
   | exception Proof.Lift.Lift_error _ -> ()
   | _ -> Alcotest.fail "non-refutation accepted"
 
 let test_lift_no_assumptions_is_identity () =
   let proof, root = hand_refutation () in
-  let lifted_root, lifted = Proof.Lift.refutation proof ~root in
+  let lifted_root, lifted = Proof.Lift.refutation ~scratch:(Proof.Lift.scratch ()) proof ~root in
   Alcotest.(check int) "same root" root lifted_root;
   Alcotest.(check bool) "still empty" true (Clause.is_empty lifted)
 

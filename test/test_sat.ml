@@ -40,15 +40,27 @@ let test_luby () =
 
 let test_heap () =
   let scores = [| 5.0; 1.0; 9.0; 3.0 |] in
-  let h = Sat.Heap.create (fun v -> scores.(v)) in
-  List.iter (Sat.Heap.insert h) [ 0; 1; 2; 3 ];
-  Alcotest.(check int) "max first" 2 (Sat.Heap.pop h);
+  let h = Sat.Heap.create () in
+  List.iter (Sat.Heap.insert h scores) [ 0; 1; 2; 3 ];
+  Alcotest.(check int) "max first" 2 (Sat.Heap.pop h scores);
   scores.(1) <- 100.0;
-  Sat.Heap.update h 1;
-  Alcotest.(check int) "after update" 1 (Sat.Heap.pop h);
-  Alcotest.(check int) "then" 0 (Sat.Heap.pop h);
-  Alcotest.(check int) "last" 3 (Sat.Heap.pop h);
-  Alcotest.(check bool) "empty" true (Sat.Heap.is_empty h)
+  Sat.Heap.update h scores 1;
+  Alcotest.(check int) "after update" 1 (Sat.Heap.pop h scores);
+  (* The caller may replace its scores by a grown copy between calls,
+     as the solver does when it declares variables. *)
+  let scores = Array.append scores (Array.init 40 (fun i -> float_of_int i)) in
+  Sat.Heap.insert h scores 43;
+  Sat.Heap.insert h scores 20;
+  Alcotest.(check int) "inserted past the first capacity" 43 (Sat.Heap.pop h scores);
+  Alcotest.(check int) "then" 20 (Sat.Heap.pop h scores);
+  Alcotest.(check int) "then the old ones" 0 (Sat.Heap.pop h scores);
+  Alcotest.(check int) "last" 3 (Sat.Heap.pop h scores);
+  Alcotest.(check bool) "empty" true (Sat.Heap.is_empty h);
+  List.iter (Sat.Heap.insert h scores) [ 5; 6 ];
+  Sat.Heap.clear h;
+  Alcotest.(check bool) "cleared" true (Sat.Heap.is_empty h && not (Sat.Heap.mem h 5));
+  Sat.Heap.insert h scores 5;
+  Alcotest.(check int) "reinserted after clear" 5 (Sat.Heap.pop h scores)
 
 let test_trivial_sat () =
   let f = formula_of_lists [ [ lit 0 ]; [ nlit 1 ] ] in
@@ -200,7 +212,7 @@ let test_assumption_units_lift () =
   (match Solver.solve s with
   | Solver.Unsat root ->
     let proof = Solver.proof s in
-    let lifted_root, lifted = Proof.Lift.refutation proof ~root in
+    let lifted_root, lifted = Proof.Lift.refutation ~scratch:(Proof.Lift.scratch ()) proof ~root in
     let expected = Clause.of_list [ nlit 0; lit 2 ] in
     Alcotest.(check bool) "lifted subsumes" true (Clause.subsumes lifted expected);
     let f = formula_of_lists [ [ nlit 0; lit 1 ]; [ nlit 1; lit 2 ] ] in
@@ -490,7 +502,29 @@ let random_instance rng kind =
 
 let outcomes_seen = Hashtbl.create 4
 
-(* Everything a caller can observe of one solve. *)
+(* An Unsat run's refutation, lifted over the instance's assumption
+   leaves, derives from its other clauses a clause over negated
+   assumption units; only a clashing pair of units may leave nothing to
+   lift. *)
+let check_refutation inst proof root =
+  let units =
+    List.filter_map (fun (c, a) -> if a then Some (Clause.lits c).(0) else None) inst.clauses
+  in
+  let leaf_ok c = List.mem (c, false) inst.clauses in
+  match Proof.Lift.refutation ~scratch:(Proof.Lift.scratch ()) proof ~root with
+  | lifted_root, clause -> (
+    if not (Clause.fold (fun ok l -> ok && List.mem (Lit.neg l) units) true clause) then
+      QCheck.Test.fail_reportf "lifted clause %s is not over negated assumption units"
+        (Clause.to_dimacs_string clause);
+    match Proof.Checker.check_derivation proof ~root:lifted_root ~expected:clause ~leaf_ok () with
+    | Ok _ -> ()
+    | Error e -> QCheck.Test.fail_reportf "refutation rejected: %a" Proof.Checker.pp_error e)
+  | exception Proof.Lift.Lift_error _ ->
+    if not (List.exists (fun l -> List.mem (Lit.neg l) units) units) then
+      QCheck.Test.fail_reportf "refutation of consistent assumption units only"
+
+(* Everything a caller can observe of one solve; an Unsat run's proof is
+   checked after it is recorded. *)
 let run_instance s inst =
   Solver.ensure_vars s inst.declared;
   List.iter (fun (c, assumption) -> Solver.add_clause ~assumption s c) inst.clauses;
@@ -507,20 +541,29 @@ let run_instance s inst =
     QCheck.Test.fail_reportf "analysis scratch left marked after %s" (fst outcome);
   let nodes = ref [] in
   R.iter (fun id n -> nodes := (id, n) :: !nodes) (Solver.proof s);
-  ( outcome,
-    [
-      Solver.num_vars s; Solver.num_conflicts s; Solver.num_decisions s;
-      Solver.num_propagations s; Solver.num_learned s; Solver.num_restarts s;
-    ],
-    Array.to_list (Solver.trim_hints s),
-    !nodes )
+  let hints = Array.to_list (Solver.trim_hints s) in
+  if hints <> [] then Hashtbl.replace outcomes_seen "retired" ();
+  let observed =
+    ( outcome,
+      [
+        Solver.num_vars s; Solver.num_conflicts s; Solver.num_decisions s;
+        Solver.num_propagations s; Solver.num_learned s; Solver.num_restarts s;
+      ],
+      hints,
+      !nodes )
+  in
+  (match outcome with
+  | "unsat", [ root ] -> check_refutation inst (Solver.proof s) root
+  | _ -> ());
+  observed
 
 let reset_matches_new seed =
   let rng = Support.Rng.create seed in
   let instances = List.init 8 (fun i -> random_instance rng ((seed + i) mod 4)) in
-  (* A low reduction threshold makes the reset solver carry a deleted
-     clause database into the next instance. *)
-  let reduce_base = 4 in
+  (* A tiny reduction threshold makes the solver delete learned clauses,
+     so the reset solver carries deleted clauses in its arena into the
+     next instance, which writes over them. *)
+  let reduce_base = 2 in
   let fresh_reg = Obs.Registry.create () and reset_reg = Obs.Registry.create () in
   let recycled = Obs.with_ambient reset_reg (fun () -> Solver.create ~reduce_base ()) in
   List.iteri
@@ -541,7 +584,7 @@ let reset_matches_new seed =
 let test_reset_outcomes_covered () =
   List.iter
     (fun o -> Alcotest.(check bool) (o ^ " reached") true (Hashtbl.mem outcomes_seen o))
-    [ "sat"; "unsat"; "unsat-assuming"; "unknown" ]
+    [ "sat"; "unsat"; "unsat-assuming"; "unknown"; "retired" ]
 
 let reset_suites =
   [
