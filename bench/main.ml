@@ -1263,7 +1263,7 @@ let p10 () =
                   Proof.Binfmt.encode_hinted ~boundaries:cert.Cec.boundaries cert.Cec.proof
                     ~root:cert.Cec.root
                 in
-                (match Proof.Hint_check.check ~leaf_ok ~jobs:2 bin with
+                (match Proof.Hint_check.check ~leaf_ok bin with
                 | Ok _ -> incr certs_checked
                 | Error e ->
                   failwith

@@ -213,7 +213,7 @@ let run_cec path_a path_b engine_name words no_lemmas max_conflicts sweep_mode s
             | Service.Store.Bin3 ->
               (* Hinted body sharded on the prover's section
                  boundaries: check-proof follows the hints with no
-                 search and can split shards across --jobs domains. *)
+                 search. *)
               write_text (Some path)
                 (Proof.Binfmt.encode_hinted ~boundaries:cert.Cec.boundaries cert.Cec.proof
                    ~root:cert.Cec.root)
@@ -236,7 +236,7 @@ let run_cec path_a path_b engine_name words no_lemmas max_conflicts sweep_mode s
           print_endline "UNDECIDED (conflict budget exhausted)";
           4)))
 
-let run_check_proof miter_path trace_path jobs =
+let run_check_proof miter_path trace_path =
   match read_aiger miter_path with
   | Error msg ->
     prerr_endline msg;
@@ -253,17 +253,21 @@ let run_check_proof miter_path trace_path jobs =
       | exception Invalid_argument msg ->
         prerr_endline msg;
         2
-      | leaf_ok when Proof.Binfmt.is_hinted text -> (
-        (* Hinted CECB certificate: follow the stored pivots — no search
-           — and check the shards on [jobs] domains.  Same exit contract:
-           corruption 2, well-formed-but-invalid 3. *)
-        match Proof.Hint_check.check ~leaf_ok ~jobs text with
+      | leaf_ok when Proof.Binfmt.is_binary text -> (
+        (* CECB certificate, either version: one streaming pass that
+           follows the pivot hints when the chains carry them.
+           Byte-level corruption exits 2 (parse error), a well-formed
+           but invalid proof exits 3, the same contract as the ASCII
+           path. *)
+        match Proof.Hint_check.check ~leaf_ok text with
         | Ok st ->
           Format.printf
-            "OK: %d chains verified against %s (hinted, %d steps on %d shard(s), peak %d of %d \
-             nodes live)@."
-            st.Proof.Hint_check.chains miter_path st.Proof.Hint_check.hints_followed
-            st.Proof.Hint_check.shards st.Proof.Hint_check.peak_live st.Proof.Hint_check.nodes;
+            "OK: %d chains verified against %s (%s, %d steps on %d shard(s), peak %d of %d nodes \
+             live)@."
+            st.Proof.Hint_check.chains miter_path
+            (if Proof.Binfmt.is_hinted text then "hinted" else "binary")
+            st.Proof.Hint_check.steps st.Proof.Hint_check.shards st.Proof.Hint_check.peak_live
+            st.Proof.Hint_check.nodes;
           0
         | Error e when e.Proof.Hint_check.malformed ->
           Printf.eprintf "%s: parse error: %s\n" trace_path
@@ -271,23 +275,6 @@ let run_check_proof miter_path trace_path jobs =
           2
         | Error e ->
           Format.printf "REJECTED: %a@." Proof.Hint_check.pp_error e;
-          3)
-      | leaf_ok when Proof.Binfmt.is_binary text -> (
-        (* CECB binary certificate: validate in one bounded-memory pass.
-           Byte-level corruption exits 2 (parse error), a well-formed but
-           invalid proof exits 3 — same contract as the ASCII path. *)
-        match Proof.Stream_check.check ~leaf_ok text with
-        | Ok st ->
-          Format.printf "OK: %d chains verified against %s (binary, peak %d of %d nodes live)@."
-            st.Proof.Stream_check.chains miter_path st.Proof.Stream_check.peak_live
-            st.Proof.Stream_check.nodes;
-          0
-        | Error e when e.Proof.Stream_check.malformed ->
-          Printf.eprintf "%s: parse error: %s\n" trace_path
-            (Format.asprintf "%a" Proof.Stream_check.pp_error e);
-          2
-        | Error e ->
-          Format.printf "REJECTED: %a@." Proof.Stream_check.pp_error e;
           3)
       | leaf_ok -> (
         (* A malformed trace must exit cleanly (code 2) with a
@@ -873,7 +860,7 @@ let cec_cmd =
         "Format for $(b,--proof): $(b,trace) (ASCII resolution trace, the default), $(b,bin) \
          (compact CECB binary certificate with deletion records) or $(b,bin3) (hinted CECB: \
          pivot hints plus a shard table on the prover's section boundaries, checkable without \
-         search and in parallel).  $(b,check-proof) auto-detects all three."
+         search).  $(b,check-proof) auto-detects all three."
   in
   Cmd.v
     (Cmd.info "cec" ~doc:"Check two AIGER circuits for equivalence."
@@ -890,26 +877,16 @@ let cec_cmd =
       $ proof_out $ cert_format $ validate $ faults_arg)
 
 let check_proof_cmd =
-  let jobs =
-    Arg.(
-      value & opt int 1
-      & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:
-            "Check a hinted ($(b,bin3)) certificate's shards on $(docv) domains, joining at the \
-             recorded section boundaries.  Affects wall time only: verdict, error report and \
-             aggregate counters are identical for every $(docv).  Ignored for un-hinted formats.")
-  in
   Cmd.v
     (Cmd.info "check-proof"
        ~doc:
-         "Validate a certificate against a miter AIGER file.  ASCII resolution traces, CECB \
-          binary certificates and hinted ($(b,bin3)) certificates are auto-detected; binary \
-          ones are checked in one bounded-memory streaming pass, hinted ones search-free and — \
-          with $(b,--jobs) — shard-parallel.")
+         "Validate a certificate against a miter AIGER file.  ASCII resolution traces and CECB \
+          binary certificates (plain or hinted, $(b,bin3)) are auto-detected; binary ones are \
+          checked in one bounded-memory streaming pass that follows the pivot hints when the \
+          certificate carries them.")
     Term.(
       const run_check_proof $ file_pos 0 "Single-output miter AIGER file."
-      $ file_pos 1 "Certificate file (ASCII trace or CECB binary)."
-      $ jobs)
+      $ file_pos 1 "Certificate file (ASCII trace or CECB binary).")
 
 let fraig_cmd =
   let words =

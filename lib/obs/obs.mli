@@ -10,10 +10,10 @@
     A {!Registry.t} is deliberately {e not} synchronized: each worker
     domain records into its own registry at plain-field-mutation cost,
     and the registries are {!Registry.merge_into}d after the workers
-    are joined.  Merging counters and histograms is associative and
-    commutative, so the aggregate is independent of both the merge
-    order and the number of domains — [check-proof --jobs N] produces
-    the same deterministic counters for every [N].
+    are joined ([serve --workers N] keeps one registry per worker for
+    the daemon's lifetime and merges them at shutdown).  Merging
+    counters and histograms is associative and commutative, so the
+    aggregate is independent of the merge order.
 
     {2 The ambient registry}
 
@@ -126,7 +126,13 @@ module Span : sig
       event, runs [f], and records the matching end event even when
       [f] raises — so the event sequence of one registry is always
       well-parenthesized.  Events carry the recording domain's id, so
-      merged timelines keep one well-nested track per domain. *)
+      merged timelines keep one well-nested track per domain.
+
+      Span events stay in their registry until it is exported; nothing
+      bounds or drops them.  Code on a request path must therefore not
+      record spans into a registry that lives as long as a worker (a
+      [serve] worker's ambient registry does): each request would grow
+      it for good.  Per-request spans need a bounded sink first. *)
 
   val with_ : Registry.t -> string -> (unit -> 'a) -> 'a
 

@@ -17,7 +17,6 @@ type record =
 type shard = {
   start_pos : int;
   end_pos : int;
-  byte_start : int;
   byte_stop : int;
   exports : (int * Clause.t) array;
 }
@@ -257,7 +256,6 @@ let defined_nodes r = r.defined
 let offset r = r.pos
 let version_of r = r.version
 let shards r = r.shards
-let shard_reader r i = { r with pos = r.shards.(i).byte_start; defined = r.shards.(i).start_pos }
 
 (* Nine bytes at most, and the ninth may carry only six value bits:
    its seventh would land on bit 62, the sign bit of an OCaml int, so
@@ -337,20 +335,11 @@ let read_shard_table r declared =
   let total = Array.fold_left ( + ) 0 lens in
   if total <> String.length r.data - body_start then
     corrupt r.pos "shard byte lengths disagree with the data size";
-  let byte_start = ref body_start in
+  let byte_stop = ref body_start in
   Array.init s_count (fun s ->
+      byte_stop := !byte_stop + lens.(s);
       let start_pos = if s = 0 then 0 else ends.(s - 1) in
-      let sh =
-        {
-          start_pos;
-          end_pos = ends.(s);
-          byte_start = !byte_start;
-          byte_stop = !byte_start + lens.(s);
-          exports = exports.(s);
-        }
-      in
-      byte_start := sh.byte_stop;
-      sh)
+      { start_pos; end_pos = ends.(s); byte_stop = !byte_stop; exports = exports.(s) })
 
 let reader data =
   if not (is_binary data) then corrupt 0 "bad magic (not a %s certificate)" magic;
@@ -366,15 +355,7 @@ let reader data =
   if declared > String.length data then corrupt r.pos "node count overruns the data";
   let shards =
     if v = version then
-      [|
-        {
-          start_pos = 0;
-          end_pos = declared;
-          byte_start = r.pos;
-          byte_stop = String.length data;
-          exports = [||];
-        };
-      |]
+      [| { start_pos = 0; end_pos = declared; byte_stop = String.length data; exports = [||] } |]
     else read_shard_table r declared
   in
   { r with declared; shards }
@@ -426,6 +407,36 @@ let next r =
     | t -> corrupt at "unknown record tag %d" t
   end
 
+(* --- chains --- *)
+
+let resolve_chain clause_of ~antecedents ~pivots =
+  let k = Array.length antecedents in
+  let hinted = Array.length pivots > 0 in
+  let used = if hinted then pivots else Array.make (k - 1) 0 in
+  (* Step [i] fetches antecedent [i] only once steps [1..i-1] have
+     resolved, so a failure names the first step that goes wrong. *)
+  let rec step i acc =
+    if i = k then Ok (acc, used)
+    else
+      let d = clause_of antecedents.(i) in
+      if hinted then
+        match Clause.resolve_on acc d ~pivot:pivots.(i - 1) with
+        | resolvent -> step (i + 1) resolvent
+        | exception Invalid_argument msg ->
+          Error
+            (Printf.sprintf "hinted resolution step %d on variable %d failed: %s" i
+               pivots.(i - 1) msg)
+      else
+        match Clause.resolve_clash acc d with
+        | Some (resolvent, pivot) ->
+          used.(i - 1) <- pivot;
+          step (i + 1) resolvent
+        | None -> Error (Printf.sprintf "no clashing variable in resolution step %d" i)
+        | exception Invalid_argument msg ->
+          Error (Printf.sprintf "invalid resolution step %d: %s" i msg)
+  in
+  step 1 (clause_of antecedents.(0))
+
 (* --- decoding --- *)
 
 let decode data =
@@ -440,31 +451,12 @@ let decode data =
         (match record with
         | Leaf { clause; assumption } ->
           ids.(r.defined - 1) <- R.add_leaf ~assumption dst clause
-        | Chain { antecedents; pivots = hints } ->
-          let antecedents = Array.map (fun p -> ids.(p)) antecedents in
-          let pivots = Array.make (Array.length antecedents - 1) 0 in
-          let acc = ref (R.clause_of dst antecedents.(0)) in
-          for i = 1 to Array.length antecedents - 1 do
-            if Array.length hints > 0 then begin
-              (* Hinted chain: follow the stored pivot, no search. *)
-              let pivot = hints.(i - 1) in
-              match Clause.resolve_on !acc (R.clause_of dst antecedents.(i)) ~pivot with
-              | resolvent ->
-                pivots.(i - 1) <- pivot;
-                acc := resolvent
-              | exception Invalid_argument msg ->
-                corrupt (offset r) "invalid hinted resolution step: %s" msg
-            end
-            else
-              match Clause.resolve_clash !acc (R.clause_of dst antecedents.(i)) with
-              | None -> corrupt (offset r) "no clashing variable in resolution step"
-              | Some (resolvent, pivot) ->
-                pivots.(i - 1) <- pivot;
-                acc := resolvent
-              | exception Invalid_argument msg ->
-                corrupt (offset r) "invalid resolution step: %s" msg
-          done;
-          ids.(r.defined - 1) <- R.add_chain dst ~clause:!acc ~antecedents ~pivots
+        | Chain { antecedents; pivots } -> (
+          match resolve_chain (fun p -> R.clause_of dst ids.(p)) ~antecedents ~pivots with
+          | Ok (clause, pivots) ->
+            let antecedents = Array.map (fun p -> ids.(p)) antecedents in
+            ids.(r.defined - 1) <- R.add_chain dst ~clause ~antecedents ~pivots
+          | Error reason -> corrupt (offset r) "%s" reason)
         | Delete _ -> () (* memory-management advice; nothing to free here *));
         loop ()
     in

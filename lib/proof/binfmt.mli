@@ -5,7 +5,7 @@
     and storing certificates this module provides a binary format that
     is typically several times smaller and — unlike the trace — can be
     validated in one forward pass holding only live clauses
-    ({!Stream_check}, {!Hint_check}).
+    ({!Hint_check}).
 
     {2 Format}
 
@@ -52,10 +52,12 @@
     The hinted header also carries a {e shard table}: the node stream
     is split at the section boundaries the prover recorded (the end of
     each refuted sweep query's derivation), and every node referenced
-    across a shard boundary is {e exported} — its position and result
-    clause appear in the header — so shards validate concurrently and
-    join at the stitch points ({!Hint_check}).  A single-shard table
-    (no boundaries) degenerates to the version-1 layout plus hints.
+    across a shard boundary is {e exported}: its position and result
+    clause appear in the header.  {!Hint_check} enforces the table as
+    it streams: byte spans, per-shard node counts, export clauses
+    equal to their derivations, and cross-shard antecedents exported.
+    A single-shard table (no boundaries) degenerates to the version-1
+    layout plus hints.
 
     The encoders walk the cone of [root] (so encoding trims), place
     each leaf immediately before its first consumer, and emit a delete
@@ -103,16 +105,15 @@ val encode_hinted :
   string
 
 (** Rebuild a {!Resolution.t} and return it with the root id.  Chain
-    clauses are recomputed by resolution — following the stored hints
-    for version-2 input, by clash search for version-1.  Delete records
-    are validated but not acted on — the store keeps every node.
+    clauses are recomputed by {!resolve_chain}.  Delete records are
+    validated but not acted on — the store keeps every node.
     @raise Failure on malformed input or an invalid resolution step. *)
 val decode : string -> Resolution.t * Resolution.id
 
 (** {2 Record-level reader}
 
-    Shared by {!decode}, {!Stream_check} and {!Hint_check}: iterate the
-    records of a certificate without materializing the DAG. *)
+    Shared by {!decode} and {!Hint_check}: iterate the records of a
+    certificate without materializing the DAG. *)
 
 exception Corrupt of { offset : int; reason : string }
 
@@ -126,14 +127,14 @@ type record =
 
 (** One contiguous slice of the node stream, from the header's shard
     table (version 1 synthesizes a single all-covering shard).
-    Positions [start_pos..end_pos-1] live in bytes
-    [byte_start..byte_stop-1]; [exports] lists, in ascending position
-    order, the nodes later shards reference together with their
-    declared result clauses. *)
+    Positions [start_pos..end_pos-1] live in the bytes from the
+    previous shard's [byte_stop] (the first shard: the end of the
+    header) up to [byte_stop - 1]; [exports] lists, in ascending
+    position order, the nodes later shards reference together with
+    their declared result clauses. *)
 type shard = {
   start_pos : int;
   end_pos : int;
-  byte_start : int;
   byte_stop : int;
   exports : (int * Cnf.Clause.t) array;
 }
@@ -161,13 +162,24 @@ val version_of : reader -> int
 (** The shard table; a single synthetic shard for version-1 data. *)
 val shards : reader -> shard array
 
-(** [shard_reader r i] is a fresh reader positioned at the first byte
-    of shard [i], with [defined_nodes] pre-set to its start position —
-    the entry point for checking shards independently. *)
-val shard_reader : reader -> int -> reader
-
 (** Next record, or [None] at a clean end of data.  Structural
     validation only (tags, bounds, reference ranges, monotonicity);
     resolution steps and shard-boundary discipline are the caller's
     business.  @raise Corrupt. *)
 val next : reader -> record option
+
+(** [resolve_chain clause_of ~antecedents ~pivots] is the clause a
+    [Chain] record derives: the antecedents resolved left to right,
+    antecedent [i]'s clause being [clause_of antecedents.(i)], fetched
+    once steps [1..i-1] have resolved.  With hints ([pivots] non-empty,
+    version 2) step [i] resolves on [pivots.(i-1)]
+    ({!Cnf.Clause.resolve_on}); without, on the one variable the
+    operands clash on ({!Cnf.Clause.resolve_clash}).  Returns the clause
+    with each step's pivot (the hints themselves for version-2 input),
+    or [Error reason] naming the first step that fails.  Exceptions
+    raised by [clause_of] pass through. *)
+val resolve_chain :
+  (int -> Cnf.Clause.t) ->
+  antecedents:int array ->
+  pivots:int array ->
+  (Cnf.Clause.t * int array, string) result

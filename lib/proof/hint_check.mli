@@ -1,68 +1,62 @@
-(** Search-free, shard-parallel validation of hinted certificates.
+(** Streaming validation of binary certificates, both CECB versions.
 
-    {!Stream_check} re-infers every resolution step by searching for
-    the clashing variable.  Hinted (CECB version-2) certificates spell
-    the pivot sequence out (LRAT/GRIT-style), so this checker follows
-    the hints in a strict linear scan — zero clause-search steps — with
-    the same bounded live-set discipline: clauses are resident only
-    between their defining and delete records.
+    {!Checker} materializes a whole {!Resolution.t} before looking at a
+    single chain.  This checker instead validates a {!Binfmt}
+    certificate in one forward pass over the bytes, keeping only the
+    {e live} clauses: each clause is resident from its defining record
+    until its delete record, so the live set stays far below the proof
+    size.  Every chain's clause is recomputed by resolution
+    ({!Binfmt.resolve_chain}).  A hinted (version-2) chain spells its
+    pivots out, LRAT/GRIT-style, and each step follows its hint with no
+    search; a version-1 chain carries none, and each step resolves on
+    the variable the two operands clash on.
 
-    The hinted header's {e shard table} (the section boundaries the
-    prover recorded at sweep time) additionally lets the shards check
-    {e concurrently}: [jobs] OCaml domains pull shards off a shared
-    cursor, each validating its byte span independently — cross-shard
-    antecedents come from the header's export table, whose entries the
-    owning shard verifies against the actual derivations — and the
-    results {e join at the stitch points}: delete/use reports are
-    replayed globally so a node deleted before a cross-shard use, or
-    deleted twice, rejects exactly as in the sequential pass.  Every
-    shard is always checked (no early abort), so verdict, error choice
-    and aggregate counters are identical for every [jobs] value.
+    The hinted header's shard table is enforced in stream order: the
+    records fill each shard's byte span with exactly its declared node
+    count, every declared export equals the clause its node derives,
+    and every antecedent from an earlier shard is exported.  Leaves
+    must pass the leaf test when one is given, assumption leaves are
+    rejected, and the final node must hold the empty clause.  A
+    rejection reports the first failure in stream order.
 
     The ambient {!Obs} registry records [check.checks], [check.chains],
-    [check.steps], [check.hints_followed] (always equal to
-    [check.steps]: the no-search pin), [check.shards], [check.rejects],
-    the high-water gauge [check.peak_live], and one [check.shard] span
-    per shard. *)
+    [check.steps], [check.hints_followed], [check.shards],
+    [check.rejects] and the high-water gauge [check.peak_live]. *)
 
 type stats = {
   nodes : int;  (** node records validated *)
   chains : int;  (** resolution chains recomputed *)
   steps : int;  (** resolution steps performed *)
-  hints_followed : int;  (** steps resolved via their stored hint — always [steps] *)
+  hints_followed : int;
+      (** steps resolved on their stored hint: [steps] for version-2
+          input, [0] for version-1 *)
   deletes : int;  (** delete records applied *)
-  peak_live : int;
-      (** maximum clauses resident in any one shard (local live set
-          plus held imports); never exceeds {!Stream_check}'s peak on
-          the same certificate *)
-  shards : int;  (** shards validated *)
+  peak_live : int;  (** maximum simultaneously resident clauses *)
+  shards : int;  (** shards in the table; [1] for version-1 input *)
 }
 
 type error = {
   offset : int;  (** byte position the failure was detected at *)
   reason : string;
   malformed : bool;
-      (** [true]: the byte stream itself is corrupt; [false]:
-          well-formed but not a valid refutation *)
-  chain : int option;  (** node position the failure is attributed to, when one is *)
+      (** [true]: the byte stream itself is corrupt (bad magic,
+          truncation, a shard table the records do not fit);
+          [false]: well-formed but not a valid refutation *)
+  chain : int option;
+      (** node position (chain id) the failure is attributed to, when
+          one is; header and delete failures carry none *)
 }
 
 val pp_error : Format.formatter -> error -> unit
 
-(** [check ?leaf_ok ?formula ?jobs data] validates [data] as a
-    {e hinted} binary certificate of unsatisfiability; with [leaf_ok],
-    every leaf must pass it (for a miter's certificate,
+(** [check ?leaf_ok ?formula data] validates [data] as a binary
+    certificate of unsatisfiability; with [leaf_ok], every leaf must
+    pass it (for a miter's certificate,
     [~leaf_ok:(Cnf.Tseitin.miter_mem miter)]).  [formula] is the same
     test as [~leaf_ok:(Cnf.Formula.mem formula)] (given both, a leaf
     must pass both).  No library code passes it; it stays because
     perfbench's serve replay times [check ~formula] as its
-    [proof.hint_check] layer.  [jobs] (default 1) bounds the domains
-    checking shards concurrently — it affects wall time only, never
-    the result.  Version-1 certificates are refused (use
-    {!Stream_check}).  Never raises on untrusted input. *)
+    [proof.hint_check] layer.  Never raises on untrusted input:
+    corruption and invalid proofs both come back as [Error]. *)
 val check :
-  ?leaf_ok:(Cnf.Clause.t -> bool) ->
-  ?formula:Cnf.Formula.t ->
-  ?jobs:int ->
-  string ->
-  (stats, error) result
+  ?leaf_ok:(Cnf.Clause.t -> bool) -> ?formula:Cnf.Formula.t -> string -> (stats, error) result

@@ -9,7 +9,6 @@ module Trim = Trim
 module Pstats = Pstats
 module Export = Export
 module Binfmt = Binfmt
-module Stream_check = Stream_check
 module Hint_check = Hint_check
 module Rup = Rup
 module Compress = Compress

@@ -195,20 +195,13 @@ let corrupt_bytes data =
     Bytes.unsafe_to_string b
   end
 
-(* One full pass of the checker that owns a binary body: the
-   search-free [Hint_check] for hinted bodies, the streaming checker
-   for un-hinted ones.  With [leaf_ok] every leaf must be a clause of
-   this pair's miter CNF; without it the pass is structural (every
-   chain re-resolves, the root is empty). *)
-let check_body ~hinted ?leaf_ok body =
-  if hinted then
-    match Proof.Hint_check.check ?leaf_ok body with
-    | Ok _ -> Ok ()
-    | Error e -> Error (Format.asprintf "%a" Proof.Hint_check.pp_error e)
-  else
-    match Proof.Stream_check.check ?leaf_ok body with
-    | Ok _ -> Ok ()
-    | Error e -> Error (Format.asprintf "%a" Proof.Stream_check.pp_error e)
+(* One full pass of the binary checker.  With [leaf_ok] every leaf
+   must be a clause of this pair's miter CNF; without it the pass is
+   structural (every chain re-resolves, the root is empty). *)
+let check_body ?leaf_ok body =
+  match Proof.Hint_check.check ?leaf_ok body with
+  | Ok _ -> Ok ()
+  | Error e -> Error (Format.asprintf "%a" Proof.Hint_check.pp_error e)
 
 let parse_trace body =
   match Proof.Export.trace_of_string body with
@@ -279,12 +272,11 @@ let load_verdict t path ~golden ~revised =
                  else None)
           |> Array.of_list
       in
-      let equivalent_bin ~hinted () =
+      let equivalent_bin () =
         let checked =
           if t.paranoid then
-            with_miter (fun miter ->
-                check_body ~hinted ~leaf_ok:(Cnf.Tseitin.miter_mem miter) body)
-          else check_body ~hinted body
+            with_miter (fun miter -> check_body ~leaf_ok:(Cnf.Tseitin.miter_mem miter) body)
+          else check_body body
         in
         Result.map
           (fun () ->
@@ -299,8 +291,7 @@ let load_verdict t path ~golden ~revised =
       in
       match String.split_on_char ' ' verdict_line with
       | [ "equivalent" ] | [ "equivalent"; "trace" ] -> equivalent_trace ()
-      | [ "equivalent"; "bin" ] -> equivalent_bin ~hinted:false ()
-      | [ "equivalent"; "bin3" ] -> equivalent_bin ~hinted:true ()
+      | [ "equivalent"; ("bin" | "bin3") ] -> equivalent_bin ()
       | [ "inequivalent"; bits ] ->
         if String.exists (fun c -> c <> '0' && c <> '1') bits then
           Error "malformed counterexample bits"
@@ -365,8 +356,7 @@ let validate_object data =
     let verdict_line, body = split_line rest in
     match String.split_on_char ' ' verdict_line with
     | [ "equivalent" ] | [ "equivalent"; "trace" ] -> Result.bind (parse_trace body) check_trace
-    | [ "equivalent"; "bin" ] -> check_body ~hinted:false body
-    | [ "equivalent"; "bin3" ] -> check_body ~hinted:true body
+    | [ "equivalent"; ("bin" | "bin3") ] -> check_body body
     | [ "inequivalent"; bits ] ->
       if bits <> "" && String.for_all (fun c -> c = '0' || c = '1') bits then Ok ()
       else Error "malformed counterexample bits"

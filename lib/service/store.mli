@@ -19,8 +19,8 @@
     Equivalent entries persist the verdict plus the {e trimmed}
     refutation — by default as a {e hinted} {!Proof.Binfmt} binary
     certificate ([bin3]: pivot hints and the prover's section
-    boundaries as a shard table, re-validated search-free and in
-    parallel by {!Proof.Hint_check}), as the un-hinted binary format
+    boundaries as a shard table, re-validated search-free by
+    {!Proof.Hint_check}), as the un-hinted binary format
     with [~cert_format:Bin], or as the dense ASCII trace
     ({!Proof.Export.trace_to_string}) with
     [~cert_format:Trace].  Inequivalent entries persist the
@@ -56,12 +56,12 @@
     been truncated, or been written by an adversary.  In paranoid mode
     (the default) a loaded equivalent entry is re-validated against the
     requested pair before being served — ASCII traces with
-    {!Cec_core.Certify.validate}, un-hinted binary bodies with the
-    bounded-memory {!Proof.Stream_check}, hinted ([bin3]) bodies with
-    the search-free {!Proof.Hint_check}, each checking every leaf
-    against the pair's miter with {!Cnf.Tseitin.miter_mem}, so the
-    miter CNF is never built — and a loaded counterexample is replayed
-    through the miter.
+    {!Cec_core.Certify.validate}, binary bodies ([bin] and [bin3])
+    with the streaming {!Proof.Hint_check}, which follows the pivot
+    hints a [bin3] body carries, each checking every leaf against the
+    pair's miter with {!Cnf.Tseitin.miter_mem}, so the miter CNF is
+    never built — and a loaded counterexample is replayed through the
+    miter.
     Anything that fails is deleted and reported as a miss, so the
     caller falls back to solving.  Disabling paranoia skips the
     pair-specific checks (fast path for trusted local stores) but keeps
@@ -74,11 +74,11 @@
 type t
 
 (** Body format for {e newly stored} equivalent certificates ([Bin3]
-    is the default: hinted, checked search-free by {!Proof.Hint_check}
-    on load; [Bin] is the un-hinted binary format checked by
-    {!Proof.Stream_check}; [Trace] the dense ASCII trace).  Reading
-    understands all three, plus legacy version-1 objects, regardless
-    of this choice. *)
+    is the default: hinted, so {!Proof.Hint_check} checks it on load
+    with no search; [Bin] is the un-hinted binary format, which the
+    same checker reads by clash search; [Trace] the dense ASCII
+    trace).  Reading understands all three, plus legacy version-1
+    objects, regardless of this choice. *)
 type cert_format = Trace | Bin | Bin3
 
 type stats = {
@@ -170,10 +170,10 @@ val pp_stats : Format.formatter -> stats -> unit
     objects missing from the index are re-adopted so warm hits keep
     serving, and index entries without an object are dropped.  Proof
     bodies are re-validated by their own checker in structural mode
-    ({!Proof.Hint_check} for [bin3], {!Proof.Stream_check} for [bin],
-    {!Proof.Checker} for traces: every chain re-resolves and the root
-    is empty; the pair-specific leaf check still happens at read time
-    in paranoid mode).  A body whose bytes the checker calls malformed
+    ({!Proof.Hint_check} for [bin3] and [bin], {!Proof.Checker} for
+    traces: every chain re-resolves and the root is empty; the
+    pair-specific leaf check still happens at read time in paranoid
+    mode).  A body whose bytes the checker calls malformed
     (a negative or overflowing varint among them) is condemned like
     any other.  Runs by default when a store is opened. *)
 

@@ -1,17 +1,14 @@
-(* Differential harness over the certificate checkers.
+(* Differential harness over the binary certificate checker.
 
-   Three independent implementations validate binary certificates: the
-   searching streaming checker ([Stream_check]), the search-free hinted
-   checker ([Hint_check]) sequentially, and the same checker with its
-   shards spread over several domains.  They must accept exactly the
-   same certificates — hinted certificates re-encode every proof the
-   un-hinted format carries, so any divergence is a checker bug, not a
-   prover bug — and reject corrupted ones with the same
-   malformed-vs-invalid classification (the CLI's exit-code 2 vs 3
-   split).  The sharded run must further be bit-identical to the
-   sequential one: same stats on acceptance, same error record on
-   rejection, for every job count.  On acceptance the materializing
-   [Checker] over the ASCII trace must count the same chains. *)
+   [Hint_check] validates both CECB versions in one streaming pass: it
+   follows the stored pivots of a hinted (v3) chain and searches for
+   the clash variable of an un-hinted (v1) one.  Both encoders share
+   one emission plan, so the v1 and v3 bodies of one proof must check
+   to the same nodes, chains, steps, deletes and peak live set, and
+   only the v3 pass may follow hints.  The materializing [Checker]
+   over the ASCII trace of the same proof is the reference: it must
+   count the same chains, and any corrupted body the streaming checker
+   accepts must decode to a proof it accepts too. *)
 
 module Cec = Cec_core.Cec
 module Sweep = Cec_core.Sweep
@@ -27,7 +24,7 @@ let cert_of ?(mode = Sweep.Perpair) golden revised =
   | Cec.Inequivalent _ | Cec.Undecided -> None
 
 (* Small shards so even the small fixtures exercise the multi-shard
-   machinery (the production default of 256 would coalesce them). *)
+   table (the production default of 256 would coalesce them). *)
 let encode_v3 (cert : Cec.certificate) =
   Proof.Binfmt.encode_hinted ~boundaries:cert.Cec.boundaries ~min_shard_nodes:16
     cert.Cec.proof ~root:cert.Cec.root
@@ -35,71 +32,39 @@ let encode_v3 (cert : Cec.certificate) =
 let encode_v1 (cert : Cec.certificate) =
   Proof.Binfmt.encode cert.Cec.proof ~root:cert.Cec.root
 
-let stream leaf_ok data = Proof.Stream_check.check ~leaf_ok data
-let hint ?(jobs = 1) leaf_ok data = Proof.Hint_check.check ~leaf_ok ~jobs data
+let accepted ~what leaf_ok data =
+  match Proof.Hint_check.check ~leaf_ok data with
+  | Ok st -> st
+  | Error e -> Alcotest.failf "%s: rejected: %a" what Proof.Hint_check.pp_error e
 
-(* --- three-way acceptance agreement on valid certificates --- *)
+(* --- v1/v3 agreement on valid certificates --- *)
 
 let accept_all ~what (cert : Cec.certificate) =
   let leaf_ok = Cnf.Tseitin.miter_mem cert.Cec.miter in
   let v1 = encode_v1 cert and v3 = encode_v3 cert in
   Alcotest.(check bool) (what ^ ": v3 sniffed as hinted") true (Proof.Binfmt.is_hinted v3);
   Alcotest.(check bool) (what ^ ": v1 not sniffed as hinted") false (Proof.Binfmt.is_hinted v1);
-  let s1 =
-    match stream leaf_ok v1 with
-    | Ok st -> st
-    | Error e ->
-      Alcotest.failf "%s: stream checker rejected v1: %a" what Proof.Stream_check.pp_error e
-  in
-  let s3 =
-    match stream leaf_ok v3 with
-    | Ok st -> st
-    | Error e ->
-      Alcotest.failf "%s: stream checker rejected v3: %a" what Proof.Stream_check.pp_error e
-  in
-  let h1 =
-    match hint leaf_ok v3 with
-    | Ok st -> st
-    | Error e ->
-      Alcotest.failf "%s: hinted checker rejected v3: %a" what Proof.Hint_check.pp_error e
-  in
-  let h4 =
-    match hint ~jobs:4 leaf_ok v3 with
-    | Ok st -> st
-    | Error e ->
-      Alcotest.failf "%s: hinted checker (jobs=4) rejected v3: %a" what
-        Proof.Hint_check.pp_error e
-  in
-  (* Both encoders share one emission plan: same nodes, same chains,
-     same delete schedule, hence the same streaming peak. *)
-  Alcotest.(check int) (what ^ ": same node count") s1.Proof.Stream_check.nodes
-    s3.Proof.Stream_check.nodes;
-  Alcotest.(check int) (what ^ ": same chain count") s1.Proof.Stream_check.chains
-    s3.Proof.Stream_check.chains;
-  Alcotest.(check int) (what ^ ": v1/v3 streaming peak identical")
-    s1.Proof.Stream_check.peak_live s3.Proof.Stream_check.peak_live;
-  Alcotest.(check int) (what ^ ": hinted chains") s3.Proof.Stream_check.chains
-    h1.Proof.Hint_check.chains;
-  Alcotest.(check int) (what ^ ": hinted nodes") s3.Proof.Stream_check.nodes
-    h1.Proof.Hint_check.nodes;
-  (* The zero-search pin: every resolution step followed its hint, and
-     the step count is exactly the proof's resolution count. *)
+  let s1 = accepted ~what:(what ^ " v1") leaf_ok v1 in
+  let s3 = accepted ~what:(what ^ " v3") leaf_ok v3 in
+  let same name f = Alcotest.(check int) (what ^ ": v1/v3 " ^ name) (f s1) (f s3) in
+  same "nodes" (fun s -> s.Proof.Hint_check.nodes);
+  same "chains" (fun s -> s.Proof.Hint_check.chains);
+  same "steps" (fun s -> s.Proof.Hint_check.steps);
+  same "deletes" (fun s -> s.Proof.Hint_check.deletes);
+  same "peak live" (fun s -> s.Proof.Hint_check.peak_live);
+  Alcotest.(check int) (what ^ ": v1 is one shard") 1 s1.Proof.Hint_check.shards;
+  (* The zero-search pin: on v3 every step followed its hint, on v1
+     none had one to follow. *)
   Alcotest.(check int)
-    (what ^ ": every step followed a hint")
-    h1.Proof.Hint_check.steps h1.Proof.Hint_check.hints_followed;
+    (what ^ ": every v3 step followed a hint")
+    s3.Proof.Hint_check.steps s3.Proof.Hint_check.hints_followed;
+  Alcotest.(check int) (what ^ ": no v1 step followed a hint") 0
+    s1.Proof.Hint_check.hints_followed;
   let expected_steps =
     (Proof.Pstats.of_root cert.Cec.proof ~root:cert.Cec.root).Proof.Pstats.resolutions
   in
   Alcotest.(check int) (what ^ ": steps = proof resolutions") expected_steps
-    h1.Proof.Hint_check.steps;
-  (* Sharded live sets (local clauses + held imports) never exceed the
-     sequential checker's peak. *)
-  Alcotest.(check bool)
-    (what ^ ": hinted peak within streaming peak")
-    true
-    (h1.Proof.Hint_check.peak_live <= s3.Proof.Stream_check.peak_live);
-  (* Job-count independence of every reported number. *)
-  if h1 <> h4 then Alcotest.failf "%s: stats differ between jobs=1 and jobs=4" what;
+    s3.Proof.Hint_check.steps;
   (* The ASCII trace of the same trimmed refutation, reparsed and
      checked by the materializing checker, verifies as many chains as
      the binary stream carries. *)
@@ -110,9 +75,9 @@ let accept_all ~what (cert : Cec.certificate) =
     | Ok chains -> chains
     | Error e -> Alcotest.failf "%s: checker rejected the trace: %a" what Proof.Checker.pp_error e
   in
-  Alcotest.(check int) (what ^ ": trace chains = binary chains") s1.Proof.Stream_check.chains
+  Alcotest.(check int) (what ^ ": trace chains = binary chains") s1.Proof.Hint_check.chains
     trace_chains;
-  (v1, v3)
+  (v1, v3, s3)
 
 (* Hint round-trip: decoding the hinted body re-derives every chain by
    following its stored pivots only; decoding the un-hinted body
@@ -131,7 +96,7 @@ let roundtrip_agrees ~what v1 v3 =
   done
 
 let differential ~what (cert : Cec.certificate) =
-  let v1, v3 = accept_all ~what cert in
+  let v1, v3, _ = accept_all ~what cert in
   roundtrip_agrees ~what v1 v3
 
 (* --- fixed golden circuits, all prover shapes --- *)
@@ -163,10 +128,13 @@ let test_partitioned_certificate () =
       | Some cert ->
         Alcotest.(check bool) (what ^ ": sweep recorded boundaries") true
           (Array.length cert.Cec.boundaries > 0);
-        let _, v3 = accept_all ~what cert in
+        let _, v3, s3 = accept_all ~what cert in
         let r = Proof.Binfmt.reader v3 in
         Alcotest.(check bool) (what ^ ": multi-shard body") true
-          (Array.length (Proof.Binfmt.shards r) > 1)
+          (Array.length (Proof.Binfmt.shards r) > 1);
+        Alcotest.(check int) (what ^ ": every shard checked")
+          (Array.length (Proof.Binfmt.shards r))
+          s3.Proof.Hint_check.shards
       | None -> Alcotest.failf "%s: sweep did not prove equivalence" what)
     [ Sweep.Perpair; Sweep.Incremental ]
 
@@ -208,69 +176,45 @@ let fuzz_fixture =
      | Some cert -> (encode_v3 cert, Cnf.Tseitin.miter_mem cert.Cec.miter)
      | None -> failwith "fuzz setup failed")
 
-(* All three verdicts on one body, with the sharded checker pinned
-   bit-identical to the sequential one (error record included — the
-   join always checks every shard and picks a deterministic failure, so
-   rejection must not depend on the job count either). *)
-let verdicts data =
-  let _, leaf_ok = Lazy.force fuzz_fixture in
-  let s = stream leaf_ok data in
-  let h1 = hint leaf_ok data in
-  let h4 = hint ~jobs:4 leaf_ok data in
-  (match (h1, h4) with
-  | Ok a, Ok b when a = b -> ()
-  | Error a, Error b when a = b -> ()
-  | _ -> Alcotest.fail "hinted checker diverges between jobs=1 and jobs=4");
-  (s, h1)
-
-(* The CLI maps [malformed] to exit 2 and any other rejection to exit
-   3; classification agreement preserves that split across checkers. *)
-let check_agreement ~what s h =
-  match (s, h) with
-  | Ok _, Ok _ -> ()
-  | Error se, Error he ->
-    Alcotest.(check bool)
-      (what ^ ": same malformed classification")
-      se.Proof.Stream_check.malformed he.Proof.Hint_check.malformed
-  | Ok _, Error he ->
-    Alcotest.failf "%s: stream accepts but hinted rejects: %a" what Proof.Hint_check.pp_error he
-  | Error se, Ok _ ->
-    Alcotest.failf "%s: hinted accepts but stream rejects: %a" what Proof.Stream_check.pp_error
-      se
-
 let prop_bitflip_fuzz =
-  qtest ~count:150 "single-bit corruption classified identically" (fun seed ->
+  qtest ~count:150 "single-bit corruption accepted only when valid" (fun seed ->
       let data, leaf_ok = Lazy.force fuzz_fixture in
       let pos = seed mod String.length data in
       let bit = 1 lsl (seed / String.length data mod 8) in
       let corrupted =
         String.mapi (fun i c -> if i = pos then Char.chr (Char.code c lxor bit) else c) data
       in
-      let s, h = verdicts corrupted in
-      check_agreement ~what:(Printf.sprintf "flip@%d^%d" pos bit) s h;
-      (match (s, h) with
-      | Ok _, Ok _ ->
-        (* A flip that still passes every checker must be a genuinely
-           valid certificate (e.g. the flip landed in redundant
-           encoding slack — there is none today, so this guards the
-           claim). *)
-        let proof, root = Proof.Binfmt.decode corrupted in
-        (match Proof.Checker.check proof ~root ~leaf_ok () with
-        | Ok _ -> ()
-        | Error e ->
-          Alcotest.failf "flip@%d^%d: checkers accepted an invalid proof: %a" pos bit
-            Proof.Checker.pp_error e)
-      | _ -> ());
+      (match Proof.Hint_check.check ~leaf_ok corrupted with
+      | Error _ -> ()
+      | Ok _ -> (
+        (* A flip the checker accepts must leave a genuinely valid
+           certificate (e.g. one landing in redundant encoding slack;
+           there is none today, so this guards the claim): the body
+           decodes, and the materializing checker accepts the proof. *)
+        match Proof.Binfmt.decode corrupted with
+        | exception Failure msg ->
+          Alcotest.failf "flip@%d^%d: accepted, but decode fails: %s" pos bit msg
+        | proof, root -> (
+          match Proof.Checker.check proof ~root ~leaf_ok () with
+          | Ok _ -> ()
+          | Error e ->
+            Alcotest.failf "flip@%d^%d: checker accepted an invalid proof: %a" pos bit
+              Proof.Checker.pp_error e)));
       true)
 
+(* Cutting a body short always breaks its byte structure (a v3 shard
+   table accounts for every byte), so it is malformed: the CLI's exit
+   code 2, never 3. *)
 let prop_truncation_fuzz =
   qtest ~count:100 "truncation rejected at every cut point" (fun seed ->
-      let data, _ = Lazy.force fuzz_fixture in
+      let data, leaf_ok = Lazy.force fuzz_fixture in
       let cut = seed mod (String.length data - 1) in
-      let s, h = verdicts (String.sub data 0 cut) in
-      (match (s, h) with
-      | Ok _, _ | _, Ok _ -> Alcotest.failf "cut@%d: truncated certificate accepted" cut
-      | Error _, Error _ -> check_agreement ~what:(Printf.sprintf "cut@%d" cut) s h);
+      (match Proof.Hint_check.check ~leaf_ok (String.sub data 0 cut) with
+      | Ok _ -> Alcotest.failf "cut@%d: truncated certificate accepted" cut
+      | Error e ->
+        Alcotest.(check bool)
+          (Printf.sprintf "cut@%d: malformed" cut)
+          true e.Proof.Hint_check.malformed);
       true)
 
 let suites =

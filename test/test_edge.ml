@@ -328,14 +328,9 @@ let test_negative_varint_certificates () =
       (match Proof.Binfmt.decode data with
       | _ -> Alcotest.failf "%s: decoded" what
       | exception Failure _ -> ());
-      (match Proof.Stream_check.check data with
-      | Ok _ -> Alcotest.failf "%s: streaming checker accepted" what
-      | Error e ->
-        Alcotest.(check bool) (what ^ ": stream malformed") true e.Proof.Stream_check.malformed);
       (match Proof.Hint_check.check data with
-      | Ok _ -> Alcotest.failf "%s: hinted checker accepted" what
-      | Error e ->
-        Alcotest.(check bool) (what ^ ": hinted malformed") true e.Proof.Hint_check.malformed);
+      | Ok _ -> Alcotest.failf "%s: checker accepted" what
+      | Error e -> Alcotest.(check bool) (what ^ ": malformed") true e.Proof.Hint_check.malformed);
       Alcotest.(check int) (what ^ ": check-proof exit code") 2 (check_proof_exit_code miter data))
     [
       ("version-1 node count", negative_node_count);
@@ -379,11 +374,11 @@ let test_forged_leaf_rejected () =
     ~netlist:(Proof.Checker.check proof ~root ~leaf_ok ())
     ~cnf:(Proof.Checker.check proof ~root ~formula ());
   let bin = Proof.Binfmt.encode proof ~root in
-  same "Stream_check" ~without:(Proof.Stream_check.check bin)
-    ~netlist:(Proof.Stream_check.check ~leaf_ok bin)
-    ~cnf:(Proof.Stream_check.check ~leaf_ok:(Formula.mem formula) bin);
+  same "Hint_check on bin" ~without:(Proof.Hint_check.check bin)
+    ~netlist:(Proof.Hint_check.check ~leaf_ok bin)
+    ~cnf:(Proof.Hint_check.check ~leaf_ok:(Formula.mem formula) bin);
   let bin3 = Proof.Binfmt.encode_hinted proof ~root in
-  same "Hint_check" ~without:(Proof.Hint_check.check bin3)
+  same "Hint_check on bin3" ~without:(Proof.Hint_check.check bin3)
     ~netlist:(Proof.Hint_check.check ~leaf_ok bin3)
     ~cnf:(Proof.Hint_check.check ~formula bin3);
   List.iter

@@ -420,8 +420,8 @@ let test_fleet_end_to_end () =
     pairs;
 
   (* Every certificate reachable through the router path must also
-     pass the streaming checker against a rebuilt miter formula — the
-     fleet adds transport, not trust. *)
+     pass the binary checker against a rebuilt miter — the fleet adds
+     transport, not trust. *)
   let ring = Ring.create shard_ids in
   List.iter
     (fun (golden, revised, _, _, expected) ->
@@ -436,11 +436,11 @@ let test_fleet_end_to_end () =
               found := true;
               let leaf_ok = Cnf.Tseitin.miter_mem (Aig.Miter.build golden revised) in
               let bytes = Proof.Binfmt.encode cert.Cec.proof ~root:cert.Cec.root in
-              (match Proof.Stream_check.check ~leaf_ok bytes with
+              (match Proof.Hint_check.check ~leaf_ok bytes with
               | Ok _ -> ()
               | Error e ->
-                Alcotest.failf "stored certificate fails the streaming checker: %a"
-                  Proof.Stream_check.pp_error e)
+                Alcotest.failf "stored certificate fails the binary checker: %a"
+                  Proof.Hint_check.pp_error e)
             | _ -> ())
           shards;
         if not !found then Alcotest.fail "certificate not found in any shard store"

@@ -1,6 +1,5 @@
 (* The observability layer: instruments, domain-safe registry merging,
-   both exporters, golden-trace regressions over four fixed circuits,
-   and the jobs-independence of aggregate counters. *)
+   both exporters, and golden-trace regressions over fixed circuits. *)
 
 module Cec = Cec_core.Cec
 module Sweep = Cec_core.Sweep
@@ -560,7 +559,7 @@ let hinted_cert name =
 
 (* A small shard floor so the fixed fixtures actually split; the
    production default of 256 nodes would coalesce them into one. *)
-let check_registry ?(jobs = 1) (cert : Cec.certificate) =
+let check_registry (cert : Cec.certificate) =
   let data =
     Proof.Binfmt.encode_hinted ~boundaries:cert.Cec.boundaries ~min_shard_nodes:16 cert.Cec.proof
       ~root:cert.Cec.root
@@ -568,7 +567,7 @@ let check_registry ?(jobs = 1) (cert : Cec.certificate) =
   let reg = Obs.Registry.create () in
   (match
      Obs.with_ambient reg (fun () ->
-         Proof.Hint_check.check ~leaf_ok:(Cnf.Tseitin.miter_mem cert.Cec.miter) ~jobs data)
+         Proof.Hint_check.check ~leaf_ok:(Cnf.Tseitin.miter_mem cert.Cec.miter) data)
    with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "hinted checker rejected: %a" Proof.Hint_check.pp_error e);
@@ -601,23 +600,6 @@ let test_golden_check_multiplier () =
       ("check.steps", 1674);
     ]
     "mul3-arr-sa"
-
-let test_check_jobs_independence () =
-  (* Shards are checked with no early abort and counters are summed
-     over shards, so the aggregate check metrics cannot depend on how
-     shards are spread over domains. *)
-  let cert = hinted_cert "mul3-arr-sa" in
-  let snapshot jobs =
-    let reg = check_registry ~jobs cert in
-    (Obs.Export.counters_json reg, Obs.Gauge.get (Obs.Registry.gauge reg "check.peak_live"))
-  in
-  let c1, p1 = snapshot 1 in
-  let c4, p4 = snapshot 4 in
-  let c4', p4' = snapshot 4 in
-  Alcotest.(check string) "1 job = 4 jobs" c1 c4;
-  Alcotest.(check string) "4 jobs repeatable" c4 c4';
-  Alcotest.(check (float 0.0)) "peak gauge: 1 job = 4 jobs" p1 p4;
-  Alcotest.(check (float 0.0)) "peak gauge repeatable" p4 p4'
 
 (* --- qcheck properties --- *)
 
@@ -811,7 +793,5 @@ let suites =
         Alcotest.test_case "checker counters: adder pair" `Quick test_golden_check_adder;
         Alcotest.test_case "checker counters: multiplier pair" `Quick
           test_golden_check_multiplier;
-        Alcotest.test_case "check metrics independent of jobs" `Quick
-          test_check_jobs_independence;
       ] );
   ]

@@ -560,7 +560,7 @@ let test_dot_export () =
 let dot_suites =
   [ ("proof-dot", [ Alcotest.test_case "dot export" `Quick test_dot_export ]) ]
 
-(* --- binary certificates (Binfmt + Stream_check) --- *)
+(* --- binary certificates (Binfmt + Hint_check on v1 bytes) --- *)
 
 let test_binfmt_roundtrip_hand () =
   let proof, root = hand_refutation () in
@@ -578,15 +578,14 @@ let test_binfmt_roundtrip_hand () =
 let test_stream_check_accepts_hand () =
   let proof, root = hand_refutation () in
   let data = Proof.Binfmt.encode proof ~root in
-  match Proof.Stream_check.check ~leaf_ok:(Formula.mem (formula_of_leaves ())) data with
-  | Error e -> Alcotest.failf "valid certificate rejected: %a" Proof.Stream_check.pp_error e
+  match Proof.Hint_check.check ~leaf_ok:(Formula.mem (formula_of_leaves ())) data with
+  | Error e -> Alcotest.failf "valid certificate rejected: %a" Proof.Hint_check.pp_error e
   | Ok st ->
-    Alcotest.(check int) "seven nodes" 7 st.Proof.Stream_check.nodes;
-    Alcotest.(check int) "three chains" 3 st.Proof.Stream_check.chains;
-    Alcotest.(check bool) "deletes emitted" true (st.Proof.Stream_check.deletes > 0);
+    Alcotest.(check int) "seven nodes" 7 st.Proof.Hint_check.nodes;
+    Alcotest.(check int) "three chains" 3 st.Proof.Hint_check.chains;
+    Alcotest.(check bool) "deletes emitted" true (st.Proof.Hint_check.deletes > 0);
     Alcotest.(check bool) "peak below node count" true
-      (st.Proof.Stream_check.peak_live < st.Proof.Stream_check.nodes);
-    Alcotest.(check bool) "root still live" true (st.Proof.Stream_check.live_at_end >= 1)
+      (st.Proof.Hint_check.peak_live < st.Proof.Hint_check.nodes)
 
 let test_stream_check_rejects_nonempty_root () =
   (* Root the certificate at the intermediate unit (b): well-formed
@@ -596,9 +595,9 @@ let test_stream_check_rejects_nonempty_root () =
   let l2 = R.add_leaf proof (Clause.of_list [ nlit 0; lit 1 ]) in
   let b = R.add_chain proof ~clause:(Clause.singleton (lit 1)) ~antecedents:[| l1; l2 |] ~pivots:[| 0 |] in
   let data = Proof.Binfmt.encode proof ~root:b in
-  match Proof.Stream_check.check data with
+  match Proof.Hint_check.check data with
   | Ok _ -> Alcotest.fail "non-refutation accepted"
-  | Error e -> Alcotest.(check bool) "semantic, not malformed" false e.Proof.Stream_check.malformed
+  | Error e -> Alcotest.(check bool) "semantic, not malformed" false e.Proof.Hint_check.malformed
 
 let test_stream_check_rejects_assumption_leaf () =
   let proof = R.create () in
@@ -606,18 +605,18 @@ let test_stream_check_rejects_assumption_leaf () =
   let l2 = R.add_leaf proof (Clause.singleton (nlit 0)) in
   let root = R.add_chain proof ~clause:Clause.empty ~antecedents:[| l1; l2 |] ~pivots:[| 0 |] in
   let data = Proof.Binfmt.encode proof ~root in
-  match Proof.Stream_check.check data with
+  match Proof.Hint_check.check data with
   | Ok _ -> Alcotest.fail "assumption leaf accepted"
-  | Error e -> Alcotest.(check bool) "semantic, not malformed" false e.Proof.Stream_check.malformed
+  | Error e -> Alcotest.(check bool) "semantic, not malformed" false e.Proof.Hint_check.malformed
 
 let test_stream_check_rejects_foreign_leaf () =
   let proof, root = hand_refutation () in
   let data = Proof.Binfmt.encode proof ~root in
   let small = Formula.create () in
   ignore (Formula.add_list small [ lit 0; lit 1 ]);
-  match Proof.Stream_check.check ~leaf_ok:(Formula.mem small) data with
+  match Proof.Hint_check.check ~leaf_ok:(Formula.mem small) data with
   | Ok _ -> Alcotest.fail "foreign leaf accepted"
-  | Error e -> Alcotest.(check bool) "semantic, not malformed" false e.Proof.Stream_check.malformed
+  | Error e -> Alcotest.(check bool) "semantic, not malformed" false e.Proof.Hint_check.malformed
 
 let test_stream_check_rejects_corruption () =
   let proof, root = hand_refutation () in
@@ -626,11 +625,11 @@ let test_stream_check_rejects_corruption () =
     String.mapi (fun j c -> if i = j then Char.chr (Char.code c lxor 0x7f) else c) data
   in
   (* Bad magic and truncation are byte-level corruption. *)
-  (match Proof.Stream_check.check (flip 0) with
-  | Error e -> Alcotest.(check bool) "bad magic is malformed" true e.Proof.Stream_check.malformed
+  (match Proof.Hint_check.check (flip 0) with
+  | Error e -> Alcotest.(check bool) "bad magic is malformed" true e.Proof.Hint_check.malformed
   | Ok _ -> Alcotest.fail "bad magic accepted");
-  (match Proof.Stream_check.check (String.sub data 0 (String.length data - 2)) with
-  | Error e -> Alcotest.(check bool) "truncation is malformed" true e.Proof.Stream_check.malformed
+  (match Proof.Hint_check.check (String.sub data 0 (String.length data - 2)) with
+  | Error e -> Alcotest.(check bool) "truncation is malformed" true e.Proof.Hint_check.malformed
   | Ok _ -> Alcotest.fail "truncated certificate accepted");
   match Proof.Binfmt.decode (flip 4) with
   | exception Failure _ -> ()
@@ -652,10 +651,10 @@ let test_binfmt_delete_then_use_rejected () =
       '\003'; '\001'; '\000' (* delete node 0 *);
       '\002'; '\002'; '\002'; '\001' (* chain of nodes 0 and 1 *);
     ];
-  match Proof.Stream_check.check (Buffer.contents buf) with
+  match Proof.Hint_check.check (Buffer.contents buf) with
   | Ok _ -> Alcotest.fail "use-after-delete accepted"
   | Error e ->
-    Alcotest.(check bool) "semantic, not malformed" false e.Proof.Stream_check.malformed
+    Alcotest.(check bool) "semantic, not malformed" false e.Proof.Hint_check.malformed
 
 let contains s sub =
   let n = String.length sub in
@@ -690,32 +689,64 @@ let test_hinted_sharded_roundtrip () =
      export table end to end. *)
   let proof, root = hand_refutation () in
   let data = Proof.Binfmt.encode_hinted ~boundaries:[| 4; 5 |] ~min_shard_nodes:1 proof ~root in
-  (* The sequential checker enforces the same shard discipline. *)
-  (match Proof.Stream_check.check ~leaf_ok:(Formula.mem (formula_of_leaves ())) data with
-  | Error e -> Alcotest.failf "stream checker rejected shards: %a" Proof.Stream_check.pp_error e
-  | Ok _ -> ());
-  List.iter
-    (fun jobs ->
-      match Proof.Hint_check.check ~formula:(formula_of_leaves ()) ~jobs data with
-      | Error e ->
-        Alcotest.failf "sharded certificate rejected (jobs=%d): %a" jobs
-          Proof.Hint_check.pp_error e
-      | Ok st ->
-        Alcotest.(check int) "three shards" 3 st.Proof.Hint_check.shards;
-        Alcotest.(check int) "three chains" 3 st.Proof.Hint_check.chains)
-    [ 1; 2; 8 ];
+  (match Proof.Hint_check.check ~formula:(formula_of_leaves ()) data with
+  | Error e -> Alcotest.failf "sharded certificate rejected: %a" Proof.Hint_check.pp_error e
+  | Ok st ->
+    Alcotest.(check int) "three shards" 3 st.Proof.Hint_check.shards;
+    Alcotest.(check int) "three chains" 3 st.Proof.Hint_check.chains);
   let proof', root' = Proof.Binfmt.decode data in
   Alcotest.(check bool) "decoded root empty" true (Clause.is_empty (R.clause_of proof' root'))
 
-let test_hint_check_refuses_unhinted () =
+(* The shard table is enforced in stream order.  The hand proof in
+   three shards holds [l1 l2 b | l3 l4 nb | empty] and exports [b]
+   (position 2) and [nb] (position 5) to the last shard.  Its header is
+   the magic, the version, node count 7 and shard count 3, then per
+   shard: end delta, body length, export count, and each export as a
+   position delta and a clause (literal count, literals).  Shard 0's
+   entry starts at byte 7 and its export at byte 10; shard 1's entry
+   starts at byte 13. *)
+let test_hinted_shard_table_enforced () =
   let proof, root = hand_refutation () in
-  let data = Proof.Binfmt.encode proof ~root in
-  match Proof.Hint_check.check data with
-  | Ok _ -> Alcotest.fail "hinted checker accepted an un-hinted certificate"
-  | Error e ->
-    Alcotest.(check bool) "not classified as corruption" false e.Proof.Hint_check.malformed;
-    Alcotest.(check bool) "says the certificate has no hints" true
-      (contains e.Proof.Hint_check.reason "no hints")
+  let data = Proof.Binfmt.encode_hinted ~boundaries:[| 4; 5 |] ~min_shard_nodes:1 proof ~root in
+  let set s i c = String.mapi (fun j d -> if j = i then c else d) s in
+  let rejected what ~malformed ~reason data =
+    match Proof.Hint_check.check data with
+    | Ok _ -> Alcotest.failf "%s accepted" what
+    | Error e ->
+      Alcotest.(check bool) (what ^ ": malformed") malformed e.Proof.Hint_check.malformed;
+      Alcotest.(check string) (what ^ ": reason") reason e.Proof.Hint_check.reason
+  in
+  Alcotest.(check string) "shard 0 exports b = (x1)" "\002\001\002" (String.sub data 10 3);
+  (* b exported as (~x1): the table no longer matches b's derivation. *)
+  rejected "forged export" ~malformed:false
+    ~reason:"exported clause for node 2 does not match its derivation" (set data 12 '\003');
+  (* b dropped from shard 0's exports: the root's chain then uses it
+     across shards unexported. *)
+  rejected "unexported antecedent" ~malformed:false
+    ~reason:"cross-shard antecedent 2 is not exported"
+    (set (String.sub data 0 10) 9 '\000' ^ String.sub data 13 (String.length data - 13));
+  (* Shard 0 declared one node longer and shard 1 one shorter: shard
+     0's bytes define fewer nodes than it declares. *)
+  rejected "shard node count" ~malformed:true ~reason:"shard 0 declares 4 nodes but defines 3"
+    (set (set data 7 '\004') 13 '\002')
+
+(* An un-hinted body of the same proof checks by clash search: the
+   same chains and steps as the hinted body, none of them following a
+   hint. *)
+let test_hint_check_searches_unhinted () =
+  let proof, root = hand_refutation () in
+  let leaf_ok = Formula.mem (formula_of_leaves ()) in
+  let stats data =
+    match Proof.Hint_check.check ~leaf_ok data with
+    | Ok st -> st
+    | Error e -> Alcotest.failf "valid certificate rejected: %a" Proof.Hint_check.pp_error e
+  in
+  let v1 = stats (Proof.Binfmt.encode proof ~root) in
+  let v3 = stats (Proof.Binfmt.encode_hinted proof ~root) in
+  Alcotest.(check int) "same chains" v3.Proof.Hint_check.chains v1.Proof.Hint_check.chains;
+  Alcotest.(check int) "three steps by search" 3 v1.Proof.Hint_check.steps;
+  Alcotest.(check int) "no hint followed" 0 v1.Proof.Hint_check.hints_followed;
+  Alcotest.(check int) "every hinted step followed" 3 v3.Proof.Hint_check.hints_followed
 
 (* Rejection reports pin the offending chain id and byte offset in a
    fixed format — `check-proof` prints these verbatim, so downstream
@@ -734,13 +765,13 @@ let test_reject_message_pins_chain_and_offset () =
       '\003'; '\001'; '\000';
       '\002'; '\002'; '\002'; '\001';
     ];
-  (match Proof.Stream_check.check (Buffer.contents v1) with
+  (match Proof.Hint_check.check (Buffer.contents v1) with
   | Ok _ -> Alcotest.fail "use-after-delete accepted"
   | Error e ->
-    Alcotest.(check (option int)) "chain attributed" (Some 2) e.Proof.Stream_check.chain;
-    Alcotest.(check string) "stream message format"
+    Alcotest.(check (option int)) "chain attributed" (Some 2) e.Proof.Hint_check.chain;
+    Alcotest.(check string) "v1 message format"
       "chain 2, byte 19: antecedent 0 is dead (deleted before its last use)"
-      (Format.asprintf "%a" Proof.Stream_check.pp_error e));
+      (Format.asprintf "%a" Proof.Hint_check.pp_error e));
   (* The same proof in the hinted layout: a 5-byte header (node count,
      one shard of 3 nodes, 14 body bytes, no exports) shifts the chain
      record's end to byte 24; the chain carries one pivot hint. *)
@@ -756,23 +787,17 @@ let test_reject_message_pins_chain_and_offset () =
       '\002'; '\002'; '\002'; '\001'; '\000';
     ];
   let expected = "chain 2, byte 24: antecedent 0 is dead (deleted before its last use)" in
-  (match Proof.Hint_check.check (Buffer.contents v3) with
+  match Proof.Hint_check.check (Buffer.contents v3) with
   | Ok _ -> Alcotest.fail "hinted use-after-delete accepted"
   | Error e ->
     Alcotest.(check (option int)) "hinted chain attributed" (Some 2) e.Proof.Hint_check.chain;
     Alcotest.(check string) "hinted message format" expected
-      (Format.asprintf "%a" Proof.Hint_check.pp_error e));
-  match Proof.Stream_check.check (Buffer.contents v3) with
-  | Ok _ -> Alcotest.fail "stream accepted hinted use-after-delete"
-  | Error e ->
-    Alcotest.(check string) "stream agrees on the hinted body" expected
-      (Format.asprintf "%a" Proof.Stream_check.pp_error e)
+      (Format.asprintf "%a" Proof.Hint_check.pp_error e)
 
 let test_hinted_wrong_hint_rejected () =
   (* Flip the final chain's pivot hint (variable 1 -> variable 0): the
-     hinted checker fails the non-clashing resolution, the searching
-     checker fails the hint cross-check — both must reject without
-     classifying the bytes as corrupt. *)
+     step fails to resolve on the named variable, and the checker must
+     reject without classifying the bytes as corrupt. *)
   let proof, root = hand_refutation () in
   let data = Proof.Binfmt.encode_hinted proof ~root in
   (* The last byte of the final chain record is its single pivot. *)
@@ -781,13 +806,9 @@ let test_hinted_wrong_hint_rejected () =
       (fun i c -> if i = String.length data - 1 then Char.chr (Char.code c lxor 1) else c)
       data
   in
-  (match Proof.Hint_check.check flipped with
-  | Ok _ -> Alcotest.fail "wrong hint accepted by the hinted checker"
-  | Error e -> Alcotest.(check bool) "semantic, not malformed" false e.Proof.Hint_check.malformed);
-  match Proof.Stream_check.check flipped with
-  | Ok _ -> Alcotest.fail "wrong hint accepted by the stream checker"
-  | Error e ->
-    Alcotest.(check bool) "semantic, not malformed" false e.Proof.Stream_check.malformed
+  match Proof.Hint_check.check flipped with
+  | Ok _ -> Alcotest.fail "wrong hint accepted"
+  | Error e -> Alcotest.(check bool) "semantic, not malformed" false e.Proof.Hint_check.malformed
 
 (* --- regressions for the proof-I/O bugfixes --- *)
 
@@ -838,8 +859,9 @@ let binfmt_suites =
         Alcotest.test_case "use-after-delete rejected" `Quick test_binfmt_delete_then_use_rejected;
         Alcotest.test_case "hinted roundtrip hand proof" `Quick test_hinted_roundtrip_hand;
         Alcotest.test_case "hinted sharded roundtrip" `Quick test_hinted_sharded_roundtrip;
-        Alcotest.test_case "hint checker refuses un-hinted input" `Quick
-          test_hint_check_refuses_unhinted;
+        Alcotest.test_case "hinted shard table enforced" `Quick test_hinted_shard_table_enforced;
+        Alcotest.test_case "hint checker accepts un-hinted input by search" `Quick
+          test_hint_check_searches_unhinted;
         Alcotest.test_case "rejection pins chain id and byte offset" `Quick
           test_reject_message_pins_chain_and_offset;
         Alcotest.test_case "wrong pivot hint rejected" `Quick test_hinted_wrong_hint_rejected;

@@ -401,8 +401,8 @@ let prop_trace_roundtrip =
 
 (* Binary certificates: encode real sweeping refutations and (a) decode
    back to an equivalent checkable proof, (b) validate with the
-   streaming checker, (c) fuzz the bytes — corruption must come back as
-   [Error], never an exception or a crash. *)
+   streaming checker, by clash search, (c) fuzz the bytes — corruption
+   must come back as [Error], never an exception or a crash. *)
 let prop_binfmt_roundtrip =
   qtest "binary certificate round-trip" (fun seed ->
       let golden, revised = random_pair seed in
@@ -423,15 +423,15 @@ let prop_binfmt_roundtrip =
         | Ok _ -> ()
         | Error e ->
           QCheck.Test.fail_reportf "decoded proof rejected: %a" Proof.Checker.pp_error e);
-        (match Proof.Stream_check.check ~leaf_ok data with
+        (match Proof.Hint_check.check ~leaf_ok data with
         | Ok st ->
-          if st.Proof.Stream_check.nodes <> R.size proof' then
+          if st.Proof.Hint_check.nodes <> R.size proof' then
             QCheck.Test.fail_report "streaming node count differs from decode";
-          if st.Proof.Stream_check.peak_live > st.Proof.Stream_check.nodes then
+          if st.Proof.Hint_check.peak_live > st.Proof.Hint_check.nodes then
             QCheck.Test.fail_report "peak live above node count"
         | Error e ->
           QCheck.Test.fail_reportf "streaming checker rejected a valid certificate: %a"
-            Proof.Stream_check.pp_error e);
+            Proof.Hint_check.pp_error e);
         (* Deterministic encoding: same proof, same bytes. *)
         if Proof.Binfmt.encode proof' ~root:root' <> data then
           QCheck.Test.fail_report "re-encode diverged from the original bytes";
@@ -479,16 +479,16 @@ let prop_binfmt_fuzz =
       (* Whatever the mutation did, the checker must return a Result —
          a mutation that leaves the certificate valid is legitimately
          accepted, anything else must be a structured rejection. *)
-      (match Proof.Stream_check.check ~leaf_ok mutated with
+      (match Proof.Hint_check.check ~leaf_ok mutated with
       | Ok _ | Error _ -> ());
       (* Corruption within the 5 header bytes is always detected. *)
       (if String.length mutated < String.length Proof.Binfmt.magic + 1
           || not (String.equal (String.sub mutated 0 5) (String.sub data 0 5))
        then
-         match Proof.Stream_check.check ~leaf_ok mutated with
+         match Proof.Hint_check.check ~leaf_ok mutated with
          | Ok _ -> QCheck.Test.fail_report "corrupted header accepted"
          | Error e ->
-           if not e.Proof.Stream_check.malformed then
+           if not e.Proof.Hint_check.malformed then
              QCheck.Test.fail_report "corrupted header reported as semantic");
       (* [decode] may raise [Failure] (documented) but nothing else. *)
       (match Proof.Binfmt.decode mutated with
@@ -503,12 +503,9 @@ let prop_binfmt_fuzz =
           List.iter
             (fun (at, in_header) ->
               let overflowed = splice_sign_varint rng base ~at in
-              (match (Proof.Stream_check.check ~leaf_ok overflowed, in_header) with
-              | Error { Proof.Stream_check.malformed = true; _ }, _ | _, false -> ()
-              | _ -> QCheck.Test.fail_report "negative node count not malformed (stream)");
               (match (Proof.Hint_check.check ~leaf_ok overflowed, in_header) with
               | Error { Proof.Hint_check.malformed = true; _ }, _ | _, false -> ()
-              | _ -> QCheck.Test.fail_report "negative node count not malformed (hinted)");
+              | _ -> QCheck.Test.fail_report "negative node count not malformed");
               match Proof.Binfmt.decode overflowed with
               | _ -> if in_header then QCheck.Test.fail_report "negative node count decoded"
               | exception Failure _ -> ())

@@ -352,6 +352,28 @@ let test_store_hits_leave_index_alone () =
       Store.flush store;
       Alcotest.(check bool) "flush persists the moved stamps" true (read_file index <> before))
 
+(* A serve worker records into one registry for the daemon's lifetime,
+   and span events stay in a registry until it is exported, so a store
+   hit must record counters only: 100 paranoid hits on a bin3 body
+   leave no span event behind. *)
+let test_store_hit_records_no_span () =
+  with_temp_dir "cecd-store" (fun dir ->
+      let golden, revised, verdict = equivalent_pair () in
+      let key = Key.of_pair golden revised in
+      let store = Store.create ~cert_format:Store.Bin3 ~dir () in
+      Alcotest.(check bool) "paranoid by default" true (Store.paranoid store);
+      Store.store store key verdict;
+      let reg = Obs.Registry.create () in
+      Obs.with_ambient reg (fun () ->
+          for _ = 1 to 100 do
+            match Store.lookup store key ~golden ~revised with
+            | Some Store.Equivalent -> ()
+            | Some (Store.Inequivalent _) | None -> Alcotest.fail "equivalent entry not served"
+          done);
+      Alcotest.(check int) "no span events" 0 (Obs.Span.num_events reg);
+      Alcotest.(check int) "one check per hit" 100
+        (Obs.Counter.get (Obs.Registry.counter reg "check.checks")))
+
 (* After [flush] and a reopen, eviction follows the hits: the oldest
    entry, read last, outlives the entries stored after it. *)
 let test_store_lru_follows_flushed_hits () =
@@ -968,6 +990,7 @@ let suites =
           test_store_trusting_read_rejects_torn_body;
         Alcotest.test_case "hits leave the index file alone" `Quick
           test_store_hits_leave_index_alone;
+        Alcotest.test_case "store hit records no span" `Quick test_store_hit_records_no_span;
         Alcotest.test_case "LRU follows hits after flush and reopen" `Quick
           test_store_lru_follows_flushed_hits;
         Alcotest.test_case "forged leaf rejected in every format" `Quick
