@@ -1,7 +1,7 @@
 (* Experiment harness: regenerates every table (T1-T7) and figure
-   series (F1-F8) documented in EXPERIMENTS.md, the service experiments
-   P2, P5, P7 and P10, plus one Bechamel micro-benchmark per table or
-   figure.  Performance is measured by perfbench (perfbench/README.md).
+   series (F1-F8) documented in EXPERIMENTS.md, plus one Bechamel
+   micro-benchmark per table or figure.  Performance is measured by
+   perfbench (perfbench/README.md).
 
    Usage:
      dune exec bench/main.exe            run all experiments + bechamel
@@ -13,10 +13,12 @@ module Sweep = Cec_core.Sweep
 module Simclass = Cec_core.Simclass
 module Pstats = Proof.Pstats
 
+let now () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
+
 let time f =
-  let t0 = Unix.gettimeofday () in
+  let t0 = now () in
   let result = f () in
-  (result, Unix.gettimeofday () -. t0)
+  (result, now () -. t0)
 
 let sweeping_engine = Cec.Sweeping Sweep.default_config
 
@@ -575,754 +577,6 @@ let f8 () =
     ~columns:[ "frames"; "miter ANDs"; "mono ms"; "mono res"; "sweep ms"; "sweep res" ]
     ~rows
 
-(* --- P2: certificate store, cold solve vs warm hit --- *)
-
-let rec rm_rf path =
-  match Unix.lstat path with
-  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
-  | { Unix.st_kind = Unix.S_DIR; _ } ->
-    Array.iter (fun name -> rm_rf (Filename.concat path name)) (Sys.readdir path);
-    Unix.rmdir path
-  | _ -> Sys.remove path
-
-let p2 () =
-  let dir = Filename.temp_file "cecd-bench" "" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o700;
-  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
-  let store = Service.Store.create ~dir () in
-  let engine = Service.Engine.default_config in
-  let rows =
-    List.map
-      (fun case ->
-        let golden = Service.Key.normalize (case.Circuits.Suite.golden ()) in
-        let revised = Service.Key.normalize (case.Circuits.Suite.revised ()) in
-        let key = Service.Key.of_pair golden revised in
-        (* Cold: the full service path on an empty store — miss, solve,
-           persist the certificate. *)
-        let result, cold_t =
-          time (fun () ->
-              match Service.Store.find store key ~golden ~revised with
-              | Some _ -> failwith "store not cold (bug)"
-              | None ->
-                let result = Service.Engine.solve engine golden revised in
-                Service.Store.store store key result.Service.Engine.verdict;
-                result)
-        in
-        (* Warm: the same request again — load, reparse and (paranoid
-           mode) re-validate the stored certificate. *)
-        let reloaded, warm_t = time (fun () -> Service.Store.find store key ~golden ~revised) in
-        let status =
-          match reloaded with
-          | Some (Cec.Equivalent _) -> "equivalent"
-          | Some (Cec.Inequivalent _) -> "inequivalent"
-          | Some Cec.Undecided | None -> "MISS (bug)"
-        in
-        let bytes =
-          match Unix.stat (Service.Store.entry_path store key) with
-          | { Unix.st_size; _ } -> st_size
-          | exception Unix.Unix_error _ -> 0
-        in
-        [
-          case.Circuits.Suite.name;
-          Tables.fmt_ms cold_t;
-          Tables.fmt_ms warm_t;
-          Tables.fmt_ratio cold_t warm_t;
-          status;
-          string_of_int bytes;
-          string_of_int result.Service.Engine.conflicts;
-        ])
-      Circuits.Suite.default
-  in
-  Tables.print
-    ~title:
-      "P2: certificate store, cold solve vs warm paranoid hit (find+solve+store vs \
-       find+reparse+revalidate)"
-    ~columns:[ "case"; "cold ms"; "warm ms"; "speedup"; "status"; "cert bytes"; "conflicts" ]
-    ~rows;
-  Format.printf "store: %a@." Service.Store.pp_stats (Service.Store.stats store)
-
-(* --- P5: availability under injected faults --- *)
-
-let p5 () =
-  (* A live daemon (2 workers) replays a fixed mix of check requests
-     through the retrying client while lib/fault injects crashes and
-     store write failures at the configured rates.  Per spec: request
-     success rate, p50/p99 client-observed latency, degraded
-     (uncertified) answers, typed errors, worker retries, and what a
-     post-mortem fsck of the store finds.  Any wrong verdict (a suite
-     pair reported anything but equivalent/uncertified) aborts the
-     benchmark.  Gauges go to BENCH_p5.json. *)
-  let requests = 200 in
-  let specs =
-    [
-      ("clean", "none", None);
-      ("worker crash 5%", "worker_crash", Some "worker.crash:0.05@seed=42");
-      (* The replay is hit-dominated, so store writes are rare; high
-         rates are needed to actually exercise the write-failure path. *)
-      ("store faults 50%", "store_write", Some "store.write:0.5,store.torn_write:0.25@seed=42");
-      ("combined 5%", "combined", Some "worker.crash:0.05,store.write:0.05@seed=42");
-    ]
-  in
-  let cases = List.filteri (fun i _ -> i < 2) Circuits.Suite.small in
-  let merged = Obs.Registry.create () in
-  let rows =
-    List.map
-      (fun (label, slug, spec) ->
-        let dir = Filename.temp_file "cecd-p5" "" in
-        Sys.remove dir;
-        Unix.mkdir dir 0o700;
-        Fun.protect ~finally:(fun () ->
-            Fault.disable ();
-            rm_rf dir)
-        @@ fun () ->
-        let paths =
-          List.map
-            (fun case ->
-              let g = Filename.concat dir (case.Circuits.Suite.name ^ "-g.aig") in
-              let r = Filename.concat dir (case.Circuits.Suite.name ^ "-r.aig") in
-              Aig.Aiger.write_file g (case.Circuits.Suite.golden ());
-              Aig.Aiger.write_file r (case.Circuits.Suite.revised ());
-              (g, r))
-            cases
-        in
-        (match spec with
-        | None -> Fault.disable ()
-        | Some s -> (
-          match Fault.parse s with
-          | Ok sp -> Fault.install sp
-          | Error e -> failwith ("p5: bad fault spec: " ^ e)));
-        let socket_path = Filename.concat dir "cecd.sock" in
-        let store_dir = Filename.concat dir "store" in
-        let cfg =
-          {
-            (Service.Server.default_config ~socket_path ~store_dir) with
-            Service.Server.log = false;
-            Service.Server.workers = 2;
-          }
-        in
-        let server = Domain.spawn (fun () -> Service.Server.run cfg) in
-        let client = { Service.Client.default_config with Service.Client.base_delay_ms = 10.0 } in
-        let rec wait n =
-          if n = 0 then failwith "p5: server did not come up"
-          else
-            match Service.Server.request ~socket_path "ping" with
-            | Ok _ -> ()
-            | Error _ ->
-              Unix.sleepf 0.02;
-              wait (n - 1)
-        in
-        wait 250;
-        let lat = Array.make requests 0.0 in
-        let succeeded = ref 0 and uncertified = ref 0 and errors = ref 0 in
-        for i = 0 to requests - 1 do
-          let g, r = List.nth paths (i mod List.length paths) in
-          let line = Printf.sprintf "check %s %s" g r in
-          let t0 = Unix.gettimeofday () in
-          (match Service.Client.request ~config:client ~socket_path line with
-          | Ok response -> (
-            match Service.Protocol.field "status" response with
-            | Some "equivalent" -> incr succeeded
-            | Some "uncertified" -> incr uncertified
-            | Some other -> failwith (Printf.sprintf "p5: wrong verdict %S under faults" other)
-            | None -> incr errors (* typed error response, e.g. worker_crashed *))
-          | Error _ -> incr errors);
-          lat.(i) <- 1000.0 *. (Unix.gettimeofday () -. t0)
-        done;
-        ignore (Service.Client.request ~config:client ~socket_path "shutdown");
-        let metrics, _store_stats = Domain.join server in
-        Fault.disable ();
-        let store = Service.Store.create ~startup_fsck:false ~dir:store_dir () in
-        let fsck = Service.Store.fsck store in
-        Array.sort compare lat;
-        let pct p = lat.(min (requests - 1) (int_of_float (p *. float_of_int requests))) in
-        let rate = 100.0 *. float_of_int !succeeded /. float_of_int requests in
-        let gauge suffix v = Obs.Gauge.set (Obs.Registry.gauge merged ("bench.p5." ^ slug ^ suffix)) v in
-        gauge "_success_rate" rate;
-        gauge "_p50_ms" (pct 0.50);
-        gauge "_p99_ms" (pct 0.99);
-        gauge "_uncertified" (float_of_int !uncertified);
-        gauge "_errors" (float_of_int !errors);
-        gauge "_retried" (float_of_int metrics.Service.Metrics.retried);
-        gauge "_quarantined" (float_of_int fsck.Service.Store.quarantined);
-        [
-          label;
-          Printf.sprintf "%.1f%%" rate;
-          string_of_int !uncertified;
-          string_of_int !errors;
-          Tables.fmt_ms (pct 0.50 /. 1000.0);
-          Tables.fmt_ms (pct 0.99 /. 1000.0);
-          string_of_int metrics.Service.Metrics.retried;
-          string_of_int fsck.Service.Store.orphan_tmp;
-          string_of_int fsck.Service.Store.quarantined;
-        ])
-      specs
-  in
-  Tables.print
-    ~title:
-      (Printf.sprintf
-         "P5: availability under injected faults (%d requests, 2 workers, retrying client; \
-          success = equivalent, wrong verdicts abort)"
-         requests)
-    ~columns:
-      [
-        "faults"; "success"; "uncert"; "errors"; "p50"; "p99"; "retried"; "orphan tmp";
-        "quarantined";
-      ]
-    ~rows;
-  Out_channel.with_open_text "BENCH_p5.json" (fun oc ->
-      output_string oc (Obs.Export.stats_json merged));
-  Printf.printf "wrote BENCH_p5.json (%d gauges)\n" (List.length (Obs.Registry.gauges merged))
-
-(* --- P7: fleet load generator (sharding, zipf skew, failover) --- *)
-
-(* Closed-loop load generation against an in-process fleet: K TCP
-   shards behind the router, a pool of distinct pairs whose popularity
-   is zipf-skewed (a few hot keys, a long tail — the
-   millions-of-users shape), a cold warm-up pass and a measured warm
-   phase.  Shard service time is dominated by the [peer.slow] fault
-   (50ms stall per accepted connection), which models an I/O-bound
-   shard: on any core count the fleet's throughput is then set by how
-   well the router spreads connections over shards, which is exactly
-   the property under test — warm-hit CPU cost would make the numbers
-   core-count-dependent instead.  Wrong verdicts abort the benchmark.
-   Results (p50/p99/p999, saturation throughput for 1/2/4 shards, and
-   a kill-one-shard failover scenario) go to BENCH_p7.json. *)
-
-let p7_with_temp_dir prefix f =
-  let dir = Filename.temp_file prefix "" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o700;
-  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () -> f dir
-
-let p7_zipf_cdf n s =
-  let weights = Array.init n (fun i -> 1.0 /. Float.pow (float_of_int (i + 1)) s) in
-  let total = Array.fold_left ( +. ) 0.0 weights in
-  let acc = ref 0.0 in
-  Array.map
-    (fun w ->
-      acc := !acc +. (w /. total);
-      !acc)
-    weights
-
-let p7_sample rng cdf =
-  let u = Support.Rng.float rng in
-  let n = Array.length cdf in
-  let rec go i = if i >= n - 1 || cdf.(i) >= u then i else go (i + 1) in
-  go 0
-
-(* [num] pairs with distinct structural keys; every fourth pair is
-   inequivalent so verdict correctness is actually observable. *)
-let p7_pairs dir num =
-  List.init num (fun i ->
-      let width = 4 + i in
-      let golden = Circuits.Datapath.parity width in
-      let revised = Circuits.Rewrite.double_negate (Circuits.Datapath.parity width) in
-      let expected =
-        if i mod 4 = 3 then begin
-          Aig.set_output revised 0 (Aig.Lit.neg (Aig.output revised 0));
-          "inequivalent"
-        end
-        else "equivalent"
-      in
-      let g = Filename.concat dir (Printf.sprintf "p7-g%d.aig" i) in
-      let r = Filename.concat dir (Printf.sprintf "p7-r%d.aig" i) in
-      Aig.Aiger.write_file g golden;
-      Aig.Aiger.write_file r revised;
-      (Printf.sprintf "check %s %s" g r, expected))
-  |> Array.of_list
-
-let p7_await_addr cell what =
-  let rec go n =
-    if n = 0 then failwith ("p7: no address from " ^ what)
-    else
-      match Atomic.get cell with
-      | Some addr -> addr
-      | None ->
-        Unix.sleepf 0.02;
-        go (n - 1)
-  in
-  go 500
-
-let p7_start_shard dir id =
-  let cell = Atomic.make None in
-  let cfg =
-    {
-      (Service.Server.default_config ~socket_path:"unused"
-         ~store_dir:(Filename.concat dir ("store-" ^ id)))
-      with
-      Service.Server.listen = [ Service.Addr.Tcp ("127.0.0.1", 0) ];
-      log = false;
-      on_listen = (fun addrs -> Atomic.set cell (Some (List.hd addrs)));
-    }
-  in
-  let domain = Domain.spawn (fun () -> Service.Server.run cfg) in
-  (id, p7_await_addr cell ("shard " ^ id), domain)
-
-let p7_start_router ~shards ~replicas =
-  let cell = Atomic.make None in
-  let cfg =
-    {
-      (Fleet.Router.default_config
-         ~listen:(Service.Addr.Tcp ("127.0.0.1", 0))
-         ~shards:(List.map (fun (id, addr, _) -> { Fleet.Router.id; addr }) shards))
-      with
-      Fleet.Router.replicas;
-      workers = 8;
-      probe_interval_ms = 200.;
-      connect_timeout_ms = 2000.;
-      log = false;
-      on_listen = (fun addr -> Atomic.set cell (Some addr));
-    }
-  in
-  let domain = Domain.spawn (fun () -> Fleet.Router.run cfg) in
-  (p7_await_addr cell "router", domain)
-
-type p7_outcome = {
-  latencies : float array;  (* ms, one per answered request *)
-  answered : int;
-  no_response : int;
-  degraded : int;
-  typed_errors : int;
-  wrong : int;
-}
-
-(* [clients] closed-loop generators share one request counter; each
-   draws keys from its own seeded zipf stream. *)
-let p7_closed_loop ?config ~router ~pairs ~cdf ~clients ~total () =
-  let client_cfg =
-    match config with
-    | Some c -> c
-    | None ->
-      {
-        Service.Client.default_config with
-        Service.Client.retries = 3;
-        base_delay_ms = 5.0;
-        connect_timeout_ms = Some 2000.;
-      }
-  in
-  let next = Atomic.make 0 in
-  let run_client c =
-    let rng = Support.Rng.create (7701 + c) in
-    let lat = ref [] and answered = ref 0 and no_response = ref 0 in
-    let degraded = ref 0 and typed = ref 0 and wrong = ref 0 in
-    let rec loop () =
-      let i = Atomic.fetch_and_add next 1 in
-      if i < total then begin
-        let line, expected = pairs.(p7_sample rng cdf) in
-        let t0 = Unix.gettimeofday () in
-        (match Service.Client.request_to ~config:client_cfg [ router ] line with
-        | Error _ -> incr no_response
-        | Ok response ->
-          incr answered;
-          lat := (1000.0 *. (Unix.gettimeofday () -. t0)) :: !lat;
-          (match Service.Protocol.field "status" response with
-          | Some s when s = expected -> ()
-          | Some ("uncertified" | "timeout") -> incr degraded
-          | Some _ -> incr wrong
-          | None -> incr typed (* typed error: worker_crashed, overloaded, ... *)));
-        loop ()
-      end
-    in
-    loop ();
-    (!lat, !answered, !no_response, !degraded, !typed, !wrong)
-  in
-  let domains = List.init clients (fun c -> Domain.spawn (fun () -> run_client c)) in
-  let parts = List.map Domain.join domains in
-  let latencies =
-    Array.of_list (List.concat_map (fun (l, _, _, _, _, _) -> l) parts)
-  in
-  Array.sort compare latencies;
-  let sum f = List.fold_left (fun acc part -> acc + f part) 0 parts in
-  {
-    latencies;
-    answered = sum (fun (_, a, _, _, _, _) -> a);
-    no_response = sum (fun (_, _, n, _, _, _) -> n);
-    degraded = sum (fun (_, _, _, d, _, _) -> d);
-    typed_errors = sum (fun (_, _, _, _, t, _) -> t);
-    wrong = sum (fun (_, _, _, _, _, w) -> w);
-  }
-
-let p7_pct latencies p =
-  let n = Array.length latencies in
-  if n = 0 then 0.0 else latencies.(min (n - 1) (int_of_float (p *. float_of_int n)))
-
-let p7 () =
-  let num_keys = 16 and zipf_s = 1.1 and clients = 8 and warm_requests = 150 in
-  let merged = Obs.Registry.create () in
-  let gauge name v = Obs.Gauge.set (Obs.Registry.gauge merged ("bench.p7." ^ name)) v in
-  let cdf = p7_zipf_cdf num_keys zipf_s in
-  (* The I/O-bound-shard model: every shard connection stalls 50ms.
-     Deterministic (rate 1.0), and installed only around the fleet
-     phases. *)
-  (match Fault.parse "peer.slow:1.0@seed=7" with
-  | Ok spec -> Fault.install spec
-  | Error e -> failwith ("p7: bad fault spec: " ^ e));
-  Fun.protect ~finally:Fault.disable @@ fun () ->
-  let run_fleet num_shards =
-    p7_with_temp_dir "cecd-p7" @@ fun dir ->
-    let pairs = p7_pairs dir num_keys in
-    let shards =
-      List.init num_shards (fun i -> p7_start_shard dir (Printf.sprintf "s%d" i))
-    in
-    let router, router_domain = p7_start_router ~shards ~replicas:1 in
-    (* Cold pass: populate the stores (not measured). *)
-    Array.iter
-      (fun (line, expected) ->
-        match Service.Server.request_addr router line with
-        | Ok response when Service.Protocol.field "status" response = Some expected -> ()
-        | Ok response -> failwith ("p7: cold pass answered " ^ response)
-        | Error msg -> failwith ("p7: cold pass failed: " ^ msg))
-      pairs;
-    (* Warm phase, measured: closed-loop zipf traffic. *)
-    let t0 = Unix.gettimeofday () in
-    let o = p7_closed_loop ~router ~pairs ~cdf ~clients ~total:warm_requests () in
-    let wall = Unix.gettimeofday () -. t0 in
-    ignore (Service.Server.request_addr router "shutdown");
-    ignore (Domain.join router_domain);
-    List.iter
-      (fun (_, addr, domain) ->
-        ignore (Service.Server.request_addr addr "shutdown");
-        ignore (Domain.join domain))
-      shards;
-    if o.wrong > 0 then failwith "p7: wrong verdict under zipf load";
-    let rps = float_of_int o.answered /. wall in
-    let tag name v = gauge (Printf.sprintf "shards%d_%s" num_shards name) v in
-    tag "p50_ms" (p7_pct o.latencies 0.50);
-    tag "p99_ms" (p7_pct o.latencies 0.99);
-    tag "p999_ms" (p7_pct o.latencies 0.999);
-    tag "throughput_rps" rps;
-    tag "no_response" (float_of_int o.no_response);
-    ( Printf.sprintf "%d" num_shards,
-      o,
-      rps,
-      [
-        string_of_int num_shards;
-        string_of_int o.answered;
-        string_of_int (o.no_response + o.typed_errors);
-        Tables.fmt_ms (p7_pct o.latencies 0.50 /. 1000.0);
-        Tables.fmt_ms (p7_pct o.latencies 0.99 /. 1000.0);
-        Tables.fmt_ms (p7_pct o.latencies 0.999 /. 1000.0);
-        Printf.sprintf "%.1f" rps;
-      ] )
-  in
-  let scaling = List.map run_fleet [ 1; 2; 4 ] in
-  let rps_of n =
-    List.find_map (fun (tag, _, rps, _) -> if tag = string_of_int n then Some rps else None) scaling
-    |> Option.get
-  in
-  let speedup = rps_of 4 /. rps_of 1 in
-  gauge "speedup_4v1" speedup;
-
-  (* Failover: 3 shards, replicas = 2, worker crashes injected, one
-     shard killed mid-run.  Every request must still get a response
-     and no verdict may be wrong. *)
-  Fault.disable ();
-  (match Fault.parse "peer.slow:1.0,worker.crash:0.02@seed=7" with
-  | Ok spec -> Fault.install spec
-  | Error e -> failwith ("p7: bad fault spec: " ^ e));
-  let failover_row =
-    p7_with_temp_dir "cecd-p7f" @@ fun dir ->
-    let pairs = p7_pairs dir num_keys in
-    let shards = List.init 3 (fun i -> p7_start_shard dir (Printf.sprintf "s%d" i)) in
-    let router, router_domain = p7_start_router ~shards ~replicas:2 in
-    (* Cold pass under worker.crash: retry until every pair has a
-       definite stored verdict, so replication can warm all keys. *)
-    Array.iter
-      (fun (line, expected) ->
-        let rec retry n =
-          match Service.Server.request_addr router line with
-          | Ok r when Service.Protocol.field "status" r = Some expected -> ()
-          | _ when n > 0 -> retry (n - 1)
-          | _ -> failwith "p7: failover cold pass did not converge"
-        in
-        retry 10)
-      pairs;
-    (* Let the background replicator warm the standby replicas before
-       the shard loss, so failover hits are warm. *)
-    let rec wait_replicated n =
-      if n > 0 then begin
-        match Service.Server.request_addr router "stats" with
-        | Ok line
-          when (match Service.Protocol.field "replicated" line with
-               | Some v -> (
-                 (* The field crosses the wire: a malformed shard reply
-                    must read as "not replicated yet", not tear the
-                    bench down from inside a guard. *)
-                 match int_of_string_opt v with
-                 | Some replicated -> replicated >= num_keys
-                 | None ->
-                   Printf.eprintf "p7: non-numeric replicated field %S in stats reply\n%!" v;
-                   false)
-               | None -> false) ->
-          ()
-        | _ ->
-          Unix.sleepf 0.1;
-          wait_replicated (n - 1)
-      end
-    in
-    wait_replicated 100;
-    let total = 120 in
-    let victim_id, victim_addr, victim_domain = List.hd shards in
-    let t0 = Unix.gettimeofday () in
-    let loadgen =
-      Domain.spawn (fun () -> p7_closed_loop ~router ~pairs ~cdf ~clients:4 ~total ())
-    in
-    (* Kill one shard roughly mid-run (the load takes ~2-3s). *)
-    Unix.sleepf 1.0;
-    ignore (Service.Server.request_addr victim_addr "shutdown");
-    ignore (Domain.join victim_domain);
-    let o = Domain.join loadgen in
-    let wall = Unix.gettimeofday () -. t0 in
-    ignore (Service.Server.request_addr router "shutdown");
-    let final = Domain.join router_domain in
-    List.iter
-      (fun (id, addr, domain) ->
-        if id <> victim_id then begin
-          ignore (Service.Server.request_addr addr "shutdown");
-          ignore (Domain.join domain)
-        end)
-      shards;
-    if o.wrong > 0 then failwith "p7: wrong verdict during failover";
-    let failovers =
-      Obs.Counter.get (Obs.Registry.counter final "fleet.failovers")
-    in
-    let response_rate =
-      100.0 *. float_of_int o.answered /. float_of_int (o.answered + o.no_response)
-    in
-    gauge "failover_response_rate" response_rate;
-    gauge "failover_wrong" (float_of_int o.wrong);
-    gauge "failover_typed_errors" (float_of_int o.typed_errors);
-    gauge "failover_recorded" (float_of_int failovers);
-    gauge "failover_p99_ms" (p7_pct o.latencies 0.99);
-    [
-      "3, kill 1";
-      string_of_int o.answered;
-      string_of_int (o.no_response + o.typed_errors);
-      Tables.fmt_ms (p7_pct o.latencies 0.50 /. 1000.0);
-      Tables.fmt_ms (p7_pct o.latencies 0.99 /. 1000.0);
-      Tables.fmt_ms (p7_pct o.latencies 0.999 /. 1000.0);
-      Printf.sprintf "%.1f" (float_of_int o.answered /. wall);
-    ]
-  in
-  Tables.print
-    ~title:
-      (Printf.sprintf
-         "P7: fleet load generator (closed loop, %d clients, %d warm requests, zipf s=%.1f over \
-          %d keys, 50ms I/O-bound shards; saturation speedup 4v1 = %.2fx; failover: replicas=2, \
-          worker.crash 2%%, one shard killed mid-run)"
-         clients warm_requests zipf_s num_keys speedup)
-    ~columns:[ "shards"; "answered"; "no-resp/typed"; "p50"; "p99"; "p999"; "rps" ]
-    ~rows:(List.map (fun (_, _, _, row) -> row) scaling @ [ failover_row ]);
-  Out_channel.with_open_text "BENCH_p7.json" (fun oc ->
-      output_string oc (Obs.Export.stats_json merged));
-  Printf.printf "wrote BENCH_p7.json (%d gauges)\n" (List.length (Obs.Registry.gauges merged))
-
-(* --- P10: chaos — live reconfiguration under network faults --- *)
-
-(* A 3-shard fleet (replicas = 2) under closed-loop zipf load and a
-   chaos fault spec — every shard connection slow, some dropped
-   mid-reply, reset, or black-holed for a window — while one shard is
-   drained, removed and re-joined without a restart.  Acceptance:
-   every request gets a typed response (no transport errors), no
-   verdict is ever wrong, no latency exceeds the client deadline, the
-   ring epoch lands exactly where the admin sequence says it must with
-   a movement fraction inside the consistent-hash bound, and sampled
-   certificates from the surviving stores still pass the search-free
-   hinted checker.  Gauges go to BENCH_p10.json. *)
-
-let p10 () =
-  let num_keys = 16 and zipf_s = 1.1 and clients = 4 and total = 200 in
-  let merged = Obs.Registry.create () in
-  let gauge name v = Obs.Gauge.set (Obs.Registry.gauge merged ("bench.p10." ^ name)) v in
-  let cdf = p7_zipf_cdf num_keys zipf_s in
-  p7_with_temp_dir "cecd-p10" @@ fun dir ->
-  let pairs = p7_pairs dir num_keys in
-  (* Every load request carries its own 5s end-to-end budget. *)
-  let budgeted = Array.map (fun (line, e) -> (line ^ " 5000", e)) pairs in
-  let shards = List.init 3 (fun i -> p7_start_shard dir (Printf.sprintf "s%d" i)) in
-  let router, router_domain = p7_start_router ~shards ~replicas:2 in
-  (* Cold pass, fault-free: populate the stores. *)
-  Array.iter
-    (fun (line, expected) ->
-      match Service.Server.request_addr router line with
-      | Ok r when Service.Protocol.field "status" r = Some expected -> ()
-      | Ok r -> failwith ("p10: cold pass answered " ^ r)
-      | Error msg -> failwith ("p10: cold pass failed: " ^ msg))
-    pairs;
-  (* Wait for warm replication, so losing a shard costs no data. *)
-  let rec wait_replicated n =
-    if n = 0 then failwith "p10: replication never warmed the standbys";
-    match Service.Server.request_addr router "stats" with
-    | Ok line
-      when (match Service.Protocol.field "replicated" line with
-           | Some v -> (
-             match int_of_string_opt v with Some r -> r >= num_keys | None -> false)
-           | None -> false) ->
-      ()
-    | _ ->
-      Unix.sleepf 0.1;
-      wait_replicated (n - 1)
-  in
-  wait_replicated 100;
-  (match
-     Fault.parse "peer.slow:1.0,peer.drop:0.05,peer.reset:0.05,peer.partition:0.02@seed=11"
-   with
-  | Ok spec -> Fault.install spec
-  | Error e -> failwith ("p10: bad fault spec: " ^ e));
-  Fun.protect ~finally:Fault.disable @@ fun () ->
-  let config =
-    {
-      Service.Client.default_config with
-      Service.Client.retries = 4;
-      base_delay_ms = 10.0;
-      connect_timeout_ms = Some 2000.;
-      deadline_ms = Some 8000.;
-    }
-  in
-  let t0 = Unix.gettimeofday () in
-  let loadgen =
-    Domain.spawn (fun () -> p7_closed_loop ~config ~router ~pairs:budgeted ~cdf ~clients ~total ())
-  in
-  (* Mid-run: drain, remove and re-join shard s0 (its daemon stays up
-     throughout — only its ring membership changes). *)
-  let admin line =
-    match Service.Server.request_addr router line with
-    | Ok r when Service.Protocol.field "ok" r = Some "true" -> r
-    | Ok r -> failwith (Printf.sprintf "p10: %S answered %s" line r)
-    | Error msg -> failwith (Printf.sprintf "p10: %S failed: %s" line msg)
-  in
-  let _, s0_addr, _ = List.hd shards in
-  Unix.sleepf 0.8;
-  ignore (admin "drain s0");
-  Unix.sleepf 0.3;
-  let leave = admin "leave s0" in
-  Unix.sleepf 0.3;
-  let join = admin (Printf.sprintf "join s0 %s" (Service.Addr.to_string s0_addr)) in
-  let o = Domain.join loadgen in
-  let wall = Unix.gettimeofday () -. t0 in
-  (* Chaos off and the last partition window lapsed before the
-     shutdown handshakes (a black-holed shard would park them). *)
-  Fault.disable ();
-  Unix.sleepf 0.6;
-  ignore (Service.Server.request_addr router "shutdown");
-  let final = Domain.join router_domain in
-  List.iter
-    (fun (_, addr, domain) ->
-      ignore (Service.Server.request_addr addr "shutdown");
-      ignore (Domain.join domain))
-    shards;
-  (* Acceptance. *)
-  if o.wrong > 0 then failwith (Printf.sprintf "p10: %d wrong verdicts under chaos" o.wrong);
-  if o.no_response > 0 then
-    failwith (Printf.sprintf "p10: %d requests got no typed response" o.no_response);
-  let worst = if Array.length o.latencies = 0 then 0.0 else o.latencies.(Array.length o.latencies - 1) in
-  if worst > 8500.0 then
-    failwith (Printf.sprintf "p10: worst latency %.0fms exceeds the 8s client deadline" worst);
-  (match Service.Protocol.field "epoch" join with
-  | Some "2" -> ()
-  | other ->
-    failwith
-      (Printf.sprintf "p10: epoch %S after leave+join (expected 2)"
-         (Option.value ~default:"missing" other)));
-  let moved =
-    float_of_string (Option.value ~default:"0" (Service.Protocol.field "moved_fraction" join))
-  in
-  if moved <= 0.0 || moved > 0.67 then
-    failwith (Printf.sprintf "p10: re-join moved fraction %.3f outside (0, 2/3]" moved);
-  let c name = Obs.Counter.get (Obs.Registry.counter final ("fleet." ^ name)) in
-  if c "joins" <> 1 || c "leaves" <> 1 || c "drains" <> 1 then
-    failwith
-      (Printf.sprintf "p10: admin counters joins=%d leaves=%d drains=%d" (c "joins") (c "leaves")
-         (c "drains"));
-  (* Sampled certificates from the surviving stores still verify with
-     the search-free hinted checker. *)
-  let store_dirs = List.map (fun (id, _, _) -> Filename.concat dir ("store-" ^ id)) shards in
-  let certs_checked = ref 0 in
-  Array.iteri
-    (fun i (_, expected) ->
-      if expected = "equivalent" && !certs_checked < 3 then begin
-        let load p =
-          match Service.Server.load_netlist p with
-          | Ok g -> Service.Key.normalize g
-          | Error e -> failwith ("p10: " ^ e)
-        in
-        let golden = load (Filename.concat dir (Printf.sprintf "p7-g%d.aig" i)) in
-        let revised = load (Filename.concat dir (Printf.sprintf "p7-r%d.aig" i)) in
-        let key = Service.Key.of_pair golden revised in
-        let found = ref false in
-        List.iter
-          (fun store_dir ->
-            if not !found then
-              let store = Service.Store.create ~dir:store_dir () in
-              match Service.Store.find store key ~golden ~revised with
-              | Some (Cec.Equivalent cert) ->
-                found := true;
-                let leaf_ok = Cnf.Tseitin.miter_mem (Aig.Miter.build golden revised) in
-                let bin =
-                  Proof.Binfmt.encode_hinted ~boundaries:cert.Cec.boundaries cert.Cec.proof
-                    ~root:cert.Cec.root
-                in
-                (match Proof.Hint_check.check ~leaf_ok bin with
-                | Ok _ -> incr certs_checked
-                | Error e ->
-                  failwith
-                    (Format.asprintf "p10: stored certificate rejected: %a"
-                       Proof.Hint_check.pp_error e))
-              | _ -> ())
-          store_dirs;
-        if not !found then failwith "p10: certificate not found in any store"
-      end)
-    pairs;
-  let response_rate =
-    100.0 *. float_of_int o.answered /. float_of_int (max 1 (o.answered + o.no_response))
-  in
-  gauge "response_rate" response_rate;
-  gauge "no_response" (float_of_int o.no_response);
-  gauge "wrong" (float_of_int o.wrong);
-  gauge "typed_errors" (float_of_int o.typed_errors);
-  gauge "degraded" (float_of_int o.degraded);
-  gauge "p50_ms" (p7_pct o.latencies 0.50);
-  gauge "p99_ms" (p7_pct o.latencies 0.99);
-  gauge "worst_ms" worst;
-  gauge "throughput_rps" (float_of_int o.answered /. wall);
-  gauge "epoch" 2.0;
-  gauge "moved_fraction_rejoin" moved;
-  gauge "leave_drained"
-    (if Service.Protocol.field "drained" leave = Some "true" then 1.0 else 0.0);
-  gauge "joins" (float_of_int (c "joins"));
-  gauge "leaves" (float_of_int (c "leaves"));
-  gauge "drains" (float_of_int (c "drains"));
-  gauge "coalesced" (float_of_int (c "coalesced"));
-  gauge "deadline_exceeded" (float_of_int (c "deadline_exceeded"));
-  gauge "stalled_forwards" (float_of_int (c "stalled_forwards"));
-  gauge "failovers" (float_of_int (c "failovers"));
-  gauge "certs_checked" (float_of_int !certs_checked);
-  Tables.print
-    ~title:
-      (Printf.sprintf
-         "P10: chaos fleet (3 shards, replicas=2, %d clients, %d requests, zipf s=%.1f over %d \
-          keys; drop 5%%, reset 5%%, partition 2%%, 50ms slow; drain+leave+rejoin s0 mid-run)"
-         clients total zipf_s num_keys)
-    ~columns:[ "answered"; "no-resp"; "typed"; "wrong"; "p50"; "p99"; "worst"; "epoch"; "certs" ]
-    ~rows:
-      [
-        [
-          string_of_int o.answered;
-          string_of_int o.no_response;
-          string_of_int o.typed_errors;
-          string_of_int o.wrong;
-          Tables.fmt_ms (p7_pct o.latencies 0.50 /. 1000.0);
-          Tables.fmt_ms (p7_pct o.latencies 0.99 /. 1000.0);
-          Tables.fmt_ms (worst /. 1000.0);
-          "2";
-          string_of_int !certs_checked;
-        ];
-      ];
-  Out_channel.with_open_text "BENCH_p10.json" (fun oc ->
-      output_string oc (Obs.Export.stats_json merged));
-  Printf.printf "wrote BENCH_p10.json (%d gauges)\n" (List.length (Obs.Registry.gauges merged))
-
 (* --- Bechamel micro-benchmarks: one Test.make per experiment --- *)
 
 
@@ -1419,14 +673,10 @@ let experiments =
   [
     ("t1", t1); ("t2", t2); ("t2h", t2h); ("t3", t3); ("t4", t4); ("t5", t5);
     ("t6", t6); ("t7", t7); ("f1", f1); ("f2", f2); ("f3", f3); ("f4", f4); ("f5", f5); ("f6", f6); ("f7", f7); ("f8", f8);
-    ("p2", p2);
-    ("p5", p5);
-    ("p7", p7);
-    ("p10", p10);
   ]
 
 let () =
-  Obs.Clock.set Unix.gettimeofday;
+  Obs.Clock.set now;
   let args = List.tl (Array.to_list Sys.argv) in
   let selected = if args = [] then List.map fst experiments @ [ "bechamel" ] else args in
   List.iter
@@ -1439,7 +689,7 @@ let () =
       | None ->
         if name = "bechamel" then run_bechamel ()
         else begin
-          Printf.eprintf "unknown experiment %S (t1-t7/t2h, f1-f8, p2, p5, p7, p10, bechamel)\n" name;
+          Printf.eprintf "unknown experiment %S (t1-t7/t2h, f1-f8, bechamel)\n" name;
           exit 2
         end)
     selected

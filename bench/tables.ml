@@ -23,6 +23,5 @@ let print ~title ~columns ~rows =
      partial output survives interruption. *)
   flush stdout
 
-let fmt_float f = Printf.sprintf "%.3f" f
 let fmt_ms seconds = Printf.sprintf "%.1f" (seconds *. 1000.0)
 let fmt_ratio num den = if den = 0.0 then "-" else Printf.sprintf "%.2fx" (num /. den)

@@ -12,5 +12,3 @@ module Binfmt = Binfmt
 module Hint_check = Hint_check
 module Rup = Rup
 module Compress = Compress
-module Interpolant = Interpolant
-module Core = Core

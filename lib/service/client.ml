@@ -64,9 +64,10 @@ let attempt ?(config = default_config) ?deadline addr line =
            stops retrying once the deadline passes. *)
         Error (true, Printf.sprintf "%s: %s" name msg)
       else
-        (* EOF before a response: the daemon died between accept and
-           reply (or a drain raced the connect) — transient. *)
-        Error (msg = "connection closed", msg)
+        (* EOF before a whole response: the daemon died between accept
+           and reply, a drain raced the connect, or the reply was cut
+           off in transit — transient. *)
+        Error (msg = "connection closed" || msg = "connection closed mid-line", msg)
     | Ok response ->
       close ();
       if Protocol.field "error" response = Some "queue full" then Error (true, "queue full")

@@ -62,7 +62,7 @@ let read_line ?(max_bytes = 65536) ?deadline fd =
   let acc = Buffer.create 128 in
   let chunk = Bytes.create chunk_size in
   let finish_eof () =
-    if Buffer.length acc = 0 then Error "connection closed" else Ok (Buffer.contents acc)
+    if Buffer.length acc = 0 then Error "connection closed" else Error "connection closed mid-line"
   in
   let byte = Bytes.create 1 in
   let rec slow () =

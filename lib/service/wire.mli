@@ -27,10 +27,12 @@ val deadline_error : string
 (** [read_line ?max_bytes ?deadline fd] reads up to (and consuming)
     the next ['\n'], retrying on [EINTR].  [Ok line] excludes the
     newline; EOF before any byte is [Error "connection closed"]; EOF
-    mid-line returns the partial line (the peer closed after its last,
-    unterminated line).  Lines over [max_bytes] (default 65536) are
-    [Error "request too long"].  When [deadline] (absolute seconds)
-    passes before the line completes, [Error deadline_error].
+    mid-line is [Error "connection closed mid-line"]: every writer ends
+    its lines with {!write_line}, so an unterminated tail is a line cut
+    off in transit, never a complete one.  Lines over [max_bytes]
+    (default 65536) are [Error "request too long"].  When [deadline]
+    (absolute seconds) passes before the line completes,
+    [Error deadline_error].
     @raise Unix.Unix_error on I/O errors other than [EINTR]. *)
 val read_line :
   ?max_bytes:int -> ?deadline:float -> Unix.file_descr -> (string, string) result

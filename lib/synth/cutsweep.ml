@@ -1,28 +1,19 @@
 module Lit = Aig.Lit
 module Cut = Aig.Cut
 
+(* The mask of a [vars]-input truth table's meaningful bits. *)
+let full_mask vars =
+  if vars >= 6 then -1L else Int64.sub (Int64.shift_left 1L (1 lsl vars)) 1L
+
 (* Canonicalize a truth table under output complement so that f and
    ~f share a dictionary entry. *)
 let canonical vars truth =
-  let mask = Isop.full_mask vars in
+  let mask = full_mask vars in
   let truth = Int64.logand truth mask in
   let comp = Int64.logand (Int64.lognot truth) mask in
   if comp < truth then (comp, true) else (truth, false)
 
-(* NPN keying: write the node's cut function f(L) as
-   out XOR canon(x) with x_i = L.(perm.(i)) XOR neg_i (the inverse
-   reading of Npn.apply's semantics), so that any two NPN-equivalent
-   cut functions over correspondingly transformed leaves share a key. *)
-let npn_key truth leaves =
-  let vars = Array.length leaves in
-  let canon, t = Npn.canonical ~vars truth in
-  let adjusted =
-    Array.init vars (fun i ->
-        Aig.Lit.apply_sign leaves.(t.Npn.perm.(i)) ~neg:((t.Npn.input_neg lsr i) land 1 = 1))
-  in
-  (Array.to_list adjusted, canon, t.Npn.output_neg)
-
-let reduce ?(k = 4) ?(npn = false) ?(max_cuts = 8) g =
+let reduce ?(k = 4) ?(max_cuts = 8) g =
   let cuts = Cut.enumerate g ~k ~max_cuts in
   let fresh = Aig.create ~num_inputs:(Aig.num_inputs g) in
   let map = Array.make (Aig.num_nodes g) Lit.false_ in
@@ -34,10 +25,8 @@ let reduce ?(k = 4) ?(npn = false) ?(max_cuts = 8) g =
   let dictionary : (int list * int64, Lit.t) Hashtbl.t = Hashtbl.create 4096 in
   let key_of cut =
     let leaves = Array.map (fun leaf -> map.(leaf)) cut.Cut.leaves in
-    if npn && Array.length leaves <= 4 then npn_key cut.Cut.truth leaves
-    else
-      let truth, flipped = canonical (Array.length leaves) cut.Cut.truth in
-      (Array.to_list leaves, truth, flipped)
+    let truth, flipped = canonical (Array.length leaves) cut.Cut.truth in
+    (Array.to_list leaves, truth, flipped)
   in
   Aig.iter_ands g (fun n ->
       let node_cuts =

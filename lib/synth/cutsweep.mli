@@ -9,10 +9,7 @@
     sweeping).  Weaker than {e fraiging} (only window functions over up
     to [k] shared leaves are matched) but needs no SAT calls. *)
 
-(** [reduce ?k ?npn ?max_cuts g] returns a functionally identical
-    graph with matched nodes merged ([k] defaults to 4, [max_cuts] to
-    8).  With [~npn:true], cut functions of up to 4 leaves are matched
-    up to input negation/permutation and output negation
-    ({!Npn.canonical}), catching strictly more merges.  Unreachable
-    leftovers are cleaned up. *)
-val reduce : ?k:int -> ?npn:bool -> ?max_cuts:int -> Aig.t -> Aig.t
+(** [reduce ?k ?max_cuts g] returns a functionally identical graph
+    with matched nodes merged ([k] defaults to 4, [max_cuts] to 8).
+    Unreachable leftovers are cleaned up. *)
+val reduce : ?k:int -> ?max_cuts:int -> Aig.t -> Aig.t

@@ -1,7 +1,3 @@
-(** Library interface: window-level resynthesis — ISOP covers, SOP
-    materialization, and SAT-free cut sweeping. *)
+(** Library interface: SAT-free functional reduction by cut sweeping. *)
 
-module Isop = Isop
-module Resynth = Resynth
 module Cutsweep = Cutsweep
-module Npn = Npn

@@ -168,13 +168,6 @@ let test_solver_many_incremental_rounds () =
 
 (* --- proof corners --- *)
 
-let test_interpolant_validation () =
-  let proof = Proof.Resolution.create () in
-  let l = Proof.Resolution.add_leaf proof (Clause.singleton (lit 0)) in
-  let a = Formula.create () and b = Formula.create () in
-  expect_invalid "non-refutation root" (fun () ->
-      Proof.Interpolant.compute proof ~root:l ~a ~b)
-
 let test_rup_malformed () =
   let f = Formula.create () in
   (match Proof.Rup.check_drup_string f "1 2\n" with
@@ -402,7 +395,6 @@ let suites =
         Alcotest.test_case "assumption on fresh var" `Quick test_solver_assumption_on_fresh_var;
         Alcotest.test_case "add_derived_clause" `Quick test_solver_add_derived_clause;
         Alcotest.test_case "many incremental rounds" `Quick test_solver_many_incremental_rounds;
-        Alcotest.test_case "interpolant validation" `Quick test_interpolant_validation;
         Alcotest.test_case "rup malformed" `Quick test_rup_malformed;
         Alcotest.test_case "trace malformed" `Quick test_trace_malformed;
         Alcotest.test_case "bdd ite" `Quick test_bdd_ite_and_eval;

@@ -304,8 +304,8 @@ let test_wire_read_line () =
   Alcotest.(check (result string string)) "first line" (Ok "hello") (Wire.read_line r);
   Alcotest.(check (result string string)) "second line" (Ok "world") (Wire.read_line r);
   Unix.close w;
-  Alcotest.(check (result string string)) "unterminated tail served at EOF" (Ok "partial")
-    (Wire.read_line r);
+  Alcotest.(check (result string string)) "unterminated tail at EOF is an error"
+    (Error "connection closed mid-line") (Wire.read_line r);
   Alcotest.(check (result string string)) "EOF before any byte" (Error "connection closed")
     (Wire.read_line r);
   Unix.close r

@@ -553,19 +553,22 @@ let stop_router addr domain =
 let fault_spec s =
   match Fault.parse s with Ok spec -> spec | Error msg -> Alcotest.fail msg
 
+(* [fleet_pairs] written to [dir] as (golden path, revised path,
+   expected status). *)
+let write_pairs dir =
+  List.mapi
+    (fun i (golden, revised, expected) ->
+      let gp = Filename.concat dir (Printf.sprintf "g%d.aig" i) in
+      let rp = Filename.concat dir (Printf.sprintf "r%d.aig" i) in
+      Aig.Aiger.write_file gp golden;
+      Aig.Aiger.write_file rp revised;
+      (gp, rp, expected))
+    (fleet_pairs ())
+
 let test_fleet_reconfiguration () =
   let dir = temp_dir "fleet-reconf" in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
-  let pairs =
-    List.mapi
-      (fun i (golden, revised, expected) ->
-        let gp = Filename.concat dir (Printf.sprintf "g%d.aig" i) in
-        let rp = Filename.concat dir (Printf.sprintf "r%d.aig" i) in
-        Aig.Aiger.write_file gp golden;
-        Aig.Aiger.write_file rp revised;
-        (gp, rp, expected))
-      (fleet_pairs ())
-  in
+  let pairs = write_pairs dir in
   let s0 = start_shard dir "s0" and s1 = start_shard dir "s1" in
   (* s2's daemon is up from the start; it just isn't in the ring yet. *)
   let s2 = start_shard dir "s2" in
@@ -639,7 +642,14 @@ let test_fleet_reconfiguration () =
       (Option.value ~default:(-1.) (List.assoc_opt "fleet.ring_epoch" gauges))
   | Error msg -> Alcotest.failf "fleet metrics unparsable: %s" msg);
 
-  stop_router router_addr router;
+  (* Only the accepted reconfigurations count; the refused ones above
+     do not. *)
+  ignore (request_exn router_addr "shutdown");
+  let final = Domain.join router in
+  let count name = Obs.Counter.get (Obs.Registry.counter final name) in
+  Alcotest.(check int) "joins counted" 1 (count "fleet.joins");
+  Alcotest.(check int) "drains counted" 1 (count "fleet.drains");
+  Alcotest.(check int) "leaves counted" 2 (count "fleet.leaves");
   List.iter stop_shard [ s0; s1; s2 ]
 
 let test_fleet_deadline () =
@@ -672,6 +682,53 @@ let test_fleet_deadline () =
     (field_exn "status" r);
   stop_router router_addr router;
   stop_shard s0
+
+(* Shard replies cut off mid-line (peer.drop) or reset (peer.reset):
+   the router must fail over rather than relay a partial reply, so every
+   answer a client gets is a whole object carrying the right verdict or
+   a typed error code. *)
+let test_fleet_peer_faults () =
+  let dir = temp_dir "fleet-faults" in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let pairs = write_pairs dir in
+  let s0 = start_shard dir "s0" and s1 = start_shard dir "s1" in
+  let router_addr, router = start_router ~replicas:2 [ s0; s1 ] in
+  (* [Client.request_to] writes the request without going through the
+     fault points, so they fire only on the shards' replies. *)
+  let config = { Service.Client.default_config with Service.Client.retries = 0 } in
+  let request (gp, rp, _) =
+    let line = Printf.sprintf "check %s %s" gp rp in
+    match Service.Client.request_to ~config [ router_addr ] line with
+    | Ok response -> response
+    | Error msg -> Alcotest.failf "request %S failed: %s" line msg
+  in
+  let verdict what ((_, _, expected) as pair) =
+    Alcotest.(check string) (what ^ " verdict") expected (field_exn "status" (request pair))
+  in
+  List.iter (verdict "warm-up") pairs;
+  await
+    ~pred:(fun () ->
+      int_of_string (field_exn "replicated" (request_exn router_addr "stats")) >= 3)
+    ~what:"warm replication to standby replicas";
+  let whole_answer what ((_, _, expected) as pair) =
+    let r = request pair in
+    if not (String.ends_with ~suffix:"}" r) then Alcotest.failf "%s: cut-off reply %S" what r;
+    match Protocol.field "status" r with
+    | None -> ignore (field_exn "code" r)
+    | Some status ->
+      Alcotest.(check string) (what ^ " verdict") expected status;
+      if expected = "inequivalent" then ignore (field_exn "cex" r)
+  in
+  List.iter
+    (fun (spec, rounds) ->
+      Fault.with_spec (fault_spec spec) (fun () ->
+          for _ = 1 to rounds do
+            List.iter (whole_answer spec) pairs
+          done))
+    [ ("peer.drop:1.0", 1); ("peer.reset:1.0", 1); ("peer.drop:0.3,peer.reset:0.3@seed=11", 10) ];
+  List.iter (verdict "after the faults") pairs;
+  stop_router router_addr router;
+  List.iter stop_shard [ s0; s1 ]
 
 let test_fleet_coalescing () =
   let dir = temp_dir "fleet-coalesce" in
@@ -792,6 +849,7 @@ let suites =
         Alcotest.test_case "loopback fleet end to end" `Slow test_fleet_end_to_end;
         Alcotest.test_case "live ring reconfiguration" `Slow test_fleet_reconfiguration;
         Alcotest.test_case "deadline beats a partitioned shard" `Slow test_fleet_deadline;
+        Alcotest.test_case "cut-off shard replies fail over" `Slow test_fleet_peer_faults;
         Alcotest.test_case "identical keys coalesce" `Slow test_fleet_coalescing;
         Alcotest.test_case "overload burst sheds typed errors" `Slow test_fleet_shedding_concurrent;
       ] );

@@ -1,8 +1,7 @@
-(* Tests for the later additions: misc circuit generators, BLIF I/O,
-   NPN canonicalization, and unsat-core extraction. *)
+(* Tests for the later additions: misc circuit generators and BLIF
+   I/O. *)
 
 module Rng = Support.Rng
-module Npn = Synth.Npn
 
 let bits_of_int n width = Array.init width (fun i -> (n lsr i) land 1 = 1)
 
@@ -138,80 +137,6 @@ let test_blif_errors () =
   (* cycle *)
   expect ".model m\n.inputs a\n.outputs f\n.names a f\n11 1\n.end\n" (* arity *)
 
-(* --- NPN --- *)
-
-let test_npn_identity_and_negation () =
-  (* x0 AND x1 vs its complement vs OR: AND ~ OR under NPN (De Morgan),
-     and any function ~ its own complement. *)
-  let and2 = 0x8L and or2 = 0xEL in
-  Alcotest.(check bool) "and ~ or" true (Npn.equivalent ~vars:2 and2 or2);
-  Alcotest.(check bool) "and ~ nand" true
-    (Npn.equivalent ~vars:2 and2 (Int64.logand (Int64.lognot and2) 0xFL));
-  Alcotest.(check bool) "and !~ xor" false (Npn.equivalent ~vars:2 and2 0x6L)
-
-let test_npn_transform_is_witness () =
-  (* canonical's transform really maps the function to the canon. *)
-  let rng = Rng.create 5 in
-  for _ = 1 to 200 do
-    let truth = Int64.logand (Rng.int64 rng) 0xFFFFL in
-    let canon, t = Npn.canonical ~vars:4 truth in
-    Alcotest.(check int64) "witness transform" canon (Npn.apply ~vars:4 t truth)
-  done
-
-let test_npn_class_invariance () =
-  (* Random transforms of a function all share its canonical form. *)
-  let rng = Rng.create 6 in
-  for _ = 1 to 100 do
-    let truth = Int64.logand (Rng.int64 rng) 0xFFFFL in
-    let canon, _ = Npn.canonical ~vars:4 truth in
-    let perm =
-      match Rng.int rng 4 with
-      | 0 -> [| 0; 1; 2; 3 |]
-      | 1 -> [| 3; 2; 1; 0 |]
-      | 2 -> [| 1; 0; 3; 2 |]
-      | _ -> [| 2; 3; 0; 1 |]
-    in
-    let t = { Npn.perm; input_neg = Rng.int rng 16; output_neg = Rng.bool rng } in
-    let transformed = Npn.apply ~vars:4 t truth in
-    let canon', _ = Npn.canonical ~vars:4 transformed in
-    Alcotest.(check int64) "same class" canon canon'
-  done
-
-(* --- unsat cores --- *)
-
-let is_unsat f =
-  let s = Sat.Solver.create () in
-  Sat.Solver.add_formula s f;
-  match Sat.Solver.solve s with
-  | Sat.Solver.Unsat _ -> true
-  | Sat.Solver.Sat _ -> false
-  | Sat.Solver.Unknown | Sat.Solver.Unsat_assuming _ -> false
-
-let test_core_extraction () =
-  let lit v = Aig.Lit.of_var v and nlit v = Aig.Lit.neg (Aig.Lit.of_var v) in
-  let f = Cnf.Formula.create () in
-  (* An unsat kernel over x0,x1 plus irrelevant satisfiable clutter. *)
-  List.iter
-    (fun lits -> ignore (Cnf.Formula.add_list f lits))
-    [
-      [ lit 0; lit 1 ]; [ nlit 0; lit 1 ]; [ lit 0; nlit 1 ]; [ nlit 0; nlit 1 ];
-      [ lit 2; lit 3 ]; [ nlit 4 ]; [ lit 5; nlit 2 ];
-    ]
-  ;
-  let s = Sat.Solver.create () in
-  Sat.Solver.add_formula s f;
-  match Sat.Solver.solve s with
-  | Sat.Solver.Unsat root ->
-    let core = Proof.Core.of_proof f (Sat.Solver.proof s) ~root in
-    Alcotest.(check bool) "core within kernel" true (List.for_all (fun i -> i < 4) core);
-    let minimal = Proof.Core.minimize ~is_unsat f core in
-    Alcotest.(check int) "kernel is the MUS" 4 (List.length minimal);
-    (* the minimal core must itself be unsat *)
-    let sub = Cnf.Formula.create () in
-    List.iter (fun i -> ignore (Cnf.Formula.add sub (Cnf.Formula.clause f i))) minimal;
-    Alcotest.(check bool) "minimal core unsat" true (is_unsat sub)
-  | _ -> Alcotest.fail "expected UNSAT"
-
 let suites =
   [
     ( "misc",
@@ -224,9 +149,5 @@ let suites =
         Alcotest.test_case "blif constant outputs" `Quick test_blif_constant_outputs;
         Alcotest.test_case "blif hand-written" `Quick test_blif_hand_written;
         Alcotest.test_case "blif errors" `Quick test_blif_errors;
-        Alcotest.test_case "npn and/or/nand" `Quick test_npn_identity_and_negation;
-        Alcotest.test_case "npn transform witness" `Quick test_npn_transform_is_witness;
-        Alcotest.test_case "npn class invariance" `Quick test_npn_class_invariance;
-        Alcotest.test_case "unsat core + minimize" `Quick test_core_extraction;
       ] );
   ]

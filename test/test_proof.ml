@@ -441,106 +441,6 @@ let extra_suites =
       ] );
   ]
 
-(* --- Craig interpolation --- *)
-
-let solve_partition a b =
-  (* Refute A ∧ B with the proof-logging solver. *)
-  let s = Sat.Solver.create () in
-  Sat.Solver.add_formula s a;
-  Sat.Solver.add_formula s b;
-  match Sat.Solver.solve s with
-  | Sat.Solver.Unsat root -> Some (Sat.Solver.proof s, root)
-  | Sat.Solver.Sat _ | Sat.Solver.Unknown | Sat.Solver.Unsat_assuming _ -> None
-
-let check_interpolant_contracts a b itp =
-  let num_vars = max (Formula.num_vars a) (Formula.num_vars b) in
-  assert (num_vars <= 14);
-  (* support(I) within shared variables *)
-  let occurs f =
-    let arr = Array.make num_vars false in
-    Formula.iter (fun c -> Clause.iter (fun l -> arr.(Lit.var l) <- true) c) f;
-    arr
-  in
-  let in_a = occurs a and in_b = occurs b in
-  Array.iter
-    (fun v ->
-      if not (in_a.(v) && in_b.(v)) then
-        Alcotest.failf "interpolant depends on non-shared variable %d" v)
-    (Aig.Cone.support itp [ Aig.output itp 0 ]);
-  (* A |= I  and  I ∧ B unsat, exhaustively *)
-  for mask = 0 to (1 lsl num_vars) - 1 do
-    let assignment = Array.init num_vars (fun v -> (mask lsr v) land 1 = 1) in
-    let value_i = (Aig.eval itp assignment).(0) in
-    if Formula.satisfied_by a assignment && not value_i then
-      Alcotest.failf "A |= I violated on %d" mask;
-    if value_i && Formula.satisfied_by b assignment then
-      Alcotest.failf "I and B satisfiable together on %d" mask
-  done
-
-let test_interpolant_hand () =
-  let a = Formula.create () in
-  ignore (Formula.add_list a [ nlit 0; lit 1 ]);
-  let b = Formula.create () in
-  ignore (Formula.add_list b [ lit 0 ]);
-  ignore (Formula.add_list b [ nlit 1 ]);
-  match solve_partition a b with
-  | None -> Alcotest.fail "partition should be unsatisfiable"
-  | Some (proof, root) ->
-    let itp = Proof.Interpolant.compute proof ~root ~a ~b in
-    check_interpolant_contracts a b itp
-
-let test_interpolant_rejects_foreign_leaf () =
-  let proof, root = hand_refutation () in
-  let a = Formula.create () in
-  ignore (Formula.add_list a [ lit 0; lit 1 ]);
-  let b = Formula.create () in
-  ignore (Formula.add_list b [ nlit 0; lit 1 ]);
-  (* two of the four leaves are in neither partition *)
-  match Proof.Interpolant.compute proof ~root ~a ~b with
-  | exception Proof.Interpolant.Partition_error _ -> ()
-  | _ -> Alcotest.fail "foreign leaves accepted"
-
-let prop_interpolants_on_random_partitions =
-  let arb = QCheck.make ~print:string_of_int QCheck.Gen.nat in
-  QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~name:"interpolants satisfy the three contracts" ~count:60 arb
-       (fun seed ->
-         let rng = Support.Rng.create (seed + 500) in
-         let nvars = 4 + Support.Rng.int rng 5 in
-         let make_clause () =
-           let rec pick acc k =
-             if k = 0 then acc
-             else
-               let v = Support.Rng.int rng nvars in
-               if List.exists (fun l -> Lit.var l = v) acc then pick acc k
-               else pick (Lit.make v ~neg:(Support.Rng.bool rng) :: acc) (k - 1)
-           in
-           Clause.of_list (pick [] 3)
-         in
-         let a = Formula.create () and b = Formula.create () in
-         let total = int_of_float (5.0 *. float_of_int nvars) in
-         for i = 1 to total do
-           ignore (Formula.add (if i mod 2 = 0 then a else b) (make_clause ()))
-         done;
-         Formula.ensure_vars a nvars;
-         Formula.ensure_vars b nvars;
-         match solve_partition a b with
-         | None -> true (* satisfiable: nothing to interpolate *)
-         | Some (proof, root) ->
-           let itp = Proof.Interpolant.compute proof ~root ~a ~b in
-           check_interpolant_contracts a b itp;
-           true))
-
-let interpolant_suites =
-  [
-    ( "proof-interpolant",
-      [
-        Alcotest.test_case "hand example" `Quick test_interpolant_hand;
-        Alcotest.test_case "foreign leaves rejected" `Quick test_interpolant_rejects_foreign_leaf;
-        prop_interpolants_on_random_partitions;
-      ] );
-  ]
-
 let test_dot_export () =
   let proof, root = hand_refutation () in
   let dot = Proof.Export.dot_to_string proof ~root in
@@ -872,4 +772,4 @@ let binfmt_suites =
       ] );
   ]
 
-let suites = base_suites @ extra_suites @ interpolant_suites @ dot_suites @ binfmt_suites
+let suites = base_suites @ extra_suites @ dot_suites @ binfmt_suites

@@ -557,9 +557,9 @@ let run_instance s inst =
   | _ -> ());
   observed
 
-let reset_matches_new seed =
-  let rng = Support.Rng.create seed in
-  let instances = List.init 8 (fun i -> random_instance rng ((seed + i) mod 4)) in
+(* Solves [instances] each on a new solver and, in turn, on one solver
+   reset between them; fails on the first observable difference. *)
+let compare_reset ~label instances =
   (* A tiny reduction threshold makes the solver delete learned clauses,
      so the reset solver carries deleted clauses in its arena into the
      next instance, which writes over them. *)
@@ -575,11 +575,25 @@ let reset_matches_new seed =
       Solver.reset recycled;
       let again = Obs.with_ambient reset_reg (fun () -> run_instance recycled inst) in
       if fresh <> again then
-        QCheck.Test.fail_reportf "seed %d, instance %d: the reset solver differs from a new one" seed i)
+        QCheck.Test.fail_reportf "%s, instance %d: the reset solver differs from a new one" label i)
     instances;
   if Obs.Registry.counters fresh_reg <> Obs.Registry.counters reset_reg then
-    QCheck.Test.fail_reportf "seed %d: registry counters differ" seed;
+    QCheck.Test.fail_reportf "%s: registry counters differ" label
+
+let reset_matches_new seed =
+  let rng = Support.Rng.create seed in
+  compare_reset ~label:(Printf.sprintf "seed %d" seed)
+    (List.init 8 (fun i -> random_instance rng ((seed + i) mod 4)));
   true
+
+(* Whatever seeds the property draws, php(4,3) with no budget retires
+   learned clauses at [reduce_base] 2, so the reset solver always meets
+   an arena with deleted clauses in it. *)
+let test_reset_retires () =
+  Hashtbl.remove outcomes_seen "retired";
+  compare_reset ~label:"php(4,3)"
+    [ { (random_instance (Support.Rng.create 0) 3) with budget = None } ];
+  Alcotest.(check bool) "retired a learned clause" true (Hashtbl.mem outcomes_seen "retired")
 
 let test_reset_outcomes_covered () =
   List.iter
@@ -594,6 +608,7 @@ let reset_suites =
           (QCheck.Test.make ~name:"reset solver matches a new one" ~count:150
              (QCheck.make ~print:string_of_int QCheck.Gen.nat)
              reset_matches_new);
+        Alcotest.test_case "reset solver retires learned clauses" `Quick test_reset_retires;
         Alcotest.test_case "reset property reached every outcome" `Quick
           test_reset_outcomes_covered;
       ] );

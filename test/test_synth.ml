@@ -1,8 +1,6 @@
-(* Tests for cut enumeration and the synth library: ISOP exactness and
-   irredundancy, SOP materialization, and cut sweeping. *)
+(* Tests for cut enumeration and cut sweeping. *)
 
 module Cut = Aig.Cut
-module Isop = Synth.Isop
 module Rng = Support.Rng
 
 let qtest name ?(count = 60) arb prop =
@@ -72,94 +70,6 @@ let test_cut_leaf_bound () =
     (fun n cs -> if n > 0 && List.length cs > 5 then Alcotest.fail "max_cuts exceeded")
     cuts
 
-(* --- isop --- *)
-
-let prop_isop_exact =
-  qtest "isop covers exactly" ~count:300
-    (QCheck.make ~print:Int64.to_string (QCheck.Gen.map Int64.of_int QCheck.Gen.int))
-    (fun raw ->
-      let vars = 4 in
-      let truth = Int64.logand raw (Isop.full_mask vars) in
-      let cubes = Isop.compute ~vars truth in
-      Isop.cover vars cubes = truth)
-
-let prop_isop_irredundant =
-  qtest "isop is irredundant" ~count:150
-    (QCheck.make ~print:Int64.to_string (QCheck.Gen.map Int64.of_int QCheck.Gen.int))
-    (fun raw ->
-      let vars = 4 in
-      let truth = Int64.logand raw (Isop.full_mask vars) in
-      let cubes = Isop.compute ~vars truth in
-      (* dropping any single cube must lose coverage *)
-      List.for_all
-        (fun dropped ->
-          let rest = List.filter (fun c -> c <> dropped) cubes in
-          Isop.cover vars rest <> truth)
-        cubes)
-
-let test_isop_corner_cases () =
-  Alcotest.(check int) "constant 0" 0 (List.length (Isop.compute ~vars:3 0L));
-  (match Isop.compute ~vars:3 (Isop.full_mask 3) with
-  | [ c ] -> Alcotest.(check int) "tautology cube is empty" 0 (Isop.cube_size c)
-  | _ -> Alcotest.fail "tautology should be a single empty cube");
-  (* single variable *)
-  match Isop.compute ~vars:3 0xAAL with
-  | [ c ] ->
-    Alcotest.(check int) "x0 pos" 1 c.Isop.pos;
-    Alcotest.(check int) "x0 neg" 0 c.Isop.neg
-  | _ -> Alcotest.fail "x0 should be one cube"
-
-let test_isop_six_vars () =
-  (* Round-trip a handful of 6-variable functions. *)
-  let rng = Rng.create 12 in
-  for _ = 1 to 50 do
-    let truth = Rng.int64 rng in
-    let cubes = Isop.compute ~vars:6 truth in
-    if Isop.cover 6 cubes <> truth then Alcotest.fail "6-var isop not exact"
-  done
-
-(* --- resynth --- *)
-
-let prop_resynth_matches_truth =
-  qtest "of_truth materializes the function" ~count:200
-    (QCheck.make ~print:Int64.to_string (QCheck.Gen.map Int64.of_int QCheck.Gen.int))
-    (fun raw ->
-      let vars = 4 in
-      let truth = Int64.logand raw (Isop.full_mask vars) in
-      let g = Aig.create ~num_inputs:vars in
-      let leaves = Array.init vars (Aig.input g) in
-      let lit = Synth.Resynth.of_truth g leaves truth in
-      let ok = ref true in
-      for mask = 0 to 15 do
-        let assignment = Array.init vars (fun i -> (mask lsr i) land 1 = 1) in
-        let expected = Int64.logand (Int64.shift_right_logical truth mask) 1L = 1L in
-        if Aig.eval_lit g assignment lit <> expected then ok := false
-      done;
-      !ok)
-
-(* Full round trip at every width a one-word truth table holds (1-6
-   variables): materialize both the direct cover and the complemented
-   cover and check both against the truth table bit-for-bit — the
-   cheaper-form choice inside [of_truth] must never change the
-   function. *)
-let prop_resynth_round_trip_all_widths =
-  qtest "isop/of_truth round-trips at every width" ~count:200
-    (QCheck.make
-       ~print:(fun (v, t) -> Printf.sprintf "vars=%d truth=%Ld" v t)
-       QCheck.Gen.(pair (int_range 1 6) (map Int64.of_int int)))
-    (fun (vars, raw) ->
-      let truth = Int64.logand raw (Isop.full_mask vars) in
-      let ntruth = Int64.logand (Int64.lognot truth) (Isop.full_mask vars) in
-      let g = Aig.create ~num_inputs:vars in
-      let leaves = Array.init vars (Aig.input g) in
-      let chosen = Synth.Resynth.of_truth g leaves truth in
-      let direct = Synth.Resynth.sop_to_aig g leaves (Isop.compute ~vars truth) in
-      let complemented = Aig.Lit.neg (Synth.Resynth.sop_to_aig g leaves (Isop.compute ~vars ntruth)) in
-      let table lit =
-        Int64.logand (Aig.Sim.truth_table g lit).(0) (Isop.full_mask vars)
-      in
-      table chosen = truth && table direct = truth && table complemented = truth)
-
 (* --- cut sweeping --- *)
 
 let same_function a b =
@@ -196,55 +106,15 @@ let test_cutsweep_vs_fraig () =
   Alcotest.(check bool) "fraig at least as strong" true
     (Aig.num_ands (Aig.cleanup fraiged) <= Aig.num_ands swept)
 
-let base_suites =
+let suites =
   [
     ( "synth",
       [
         Alcotest.test_case "cut shapes" `Quick test_cut_trivial_and_shapes;
         prop_cut_truths_match_simulation;
         Alcotest.test_case "cut bounds" `Quick test_cut_leaf_bound;
-        prop_isop_exact;
-        prop_isop_irredundant;
-        Alcotest.test_case "isop corner cases" `Quick test_isop_corner_cases;
-        Alcotest.test_case "isop six vars" `Quick test_isop_six_vars;
-        prop_resynth_matches_truth;
         prop_cutsweep_preserves;
         Alcotest.test_case "cutsweep reduces inflated" `Quick test_cutsweep_reduces_inflated;
         Alcotest.test_case "cutsweep vs fraig" `Quick test_cutsweep_vs_fraig;
       ] );
   ]
-
-let prop_cutsweep_npn_preserves =
-  qtest "npn cutsweep preserves functions" ~count:40 seed_arb (fun seed ->
-      let g =
-        Circuits.Random_aig.generate (Rng.create seed) ~num_inputs:5 ~num_ands:40 ~num_outputs:3
-      in
-      let reduced = Synth.Cutsweep.reduce ~npn:true g in
-      same_function g reduced && Aig.num_ands reduced <= Aig.num_ands g)
-
-let test_cutsweep_npn_stronger () =
-  (* Aggregated over seeds: NPN matching merges at least as much, and
-     strictly more somewhere. *)
-  let total_plain = ref 0 and total_npn = ref 0 in
-  for seed = 0 to 19 do
-    let base =
-      Circuits.Random_aig.generate (Rng.create seed) ~num_inputs:6 ~num_ands:60 ~num_outputs:4
-    in
-    let inflated = Circuits.Rewrite.restructure ~intensity:1.0 (Rng.create (seed + 50)) base in
-    total_plain := !total_plain + Aig.num_ands (Synth.Cutsweep.reduce inflated);
-    total_npn := !total_npn + Aig.num_ands (Synth.Cutsweep.reduce ~npn:true inflated)
-  done;
-  Alcotest.(check bool)
-    (Printf.sprintf "npn (%d) <= plain (%d)" !total_npn !total_plain)
-    true (!total_npn <= !total_plain)
-
-let npn_suites =
-  [
-    ( "synth-npn",
-      [
-        prop_cutsweep_npn_preserves;
-        Alcotest.test_case "npn matching is stronger" `Quick test_cutsweep_npn_stronger;
-      ] );
-  ]
-
-let suites = base_suites @ npn_suites
